@@ -5,17 +5,20 @@ triangles of an instance realize (1 to 4).  Diversity drives the
 achievable Hamiltonian spectrum, so this module also classifies K4
 subgraphs (all four triangle labels distinct, or the paired pattern) and
 locates the edge/triangle configurations the constructive machinery
-starts from.  Everything here is read-only over immutable graphs.
+starts from.  It is the one module that reads triangle and K4 labels off
+a graph: the solver and the claim checks call these finders instead of
+scanning the sign array themselves.  Everything here is read-only over
+immutable graphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .graph import SignedCompleteGraph, Triangle, all_edges, edge_index
+from .graph import SignedCompleteGraph, all_edges, edge_index, triangle_sign
 from .group import ELEMENTS, F22
 
 
@@ -33,12 +36,6 @@ def triangle_table(n: int) -> tuple[tuple[tuple[int, int, int], tuple[int, int, 
     return tuple(out)
 
 
-def _triangle_signs_raw(g: SignedCompleteGraph) -> list[int]:
-    """Labels of all triangles, as plain ints aligned with triangle_table."""
-    s = g._signs
-    return [s[i] ^ s[j] ^ s[k] for _, (i, j, k) in triangle_table(g.n)]
-
-
 @lru_cache(maxsize=None)
 def quad_table(n: int) -> tuple[tuple[tuple[int, int, int, int], tuple[int, int, int, int]], ...]:
     """All 4-subsets of vertices with the rows of their four triangles."""
@@ -51,9 +48,15 @@ def quad_table(n: int) -> tuple[tuple[tuple[int, int, int, int], tuple[int, int,
 
 @dataclass(frozen=True)
 class TriangleCensus:
-    """Label counts over all C(n, 3) triangles of an instance."""
+    """Label counts over all C(n, 3) triangles of an instance.
+
+    ``labels`` keeps each triangle's label as a plain int, aligned with
+    :func:`triangle_table`, so K4 finders reuse the census pass instead of
+    reading the graph again; it takes no part in equality or repr.
+    """
 
     counts: dict[F22, int]
+    labels: Sequence[int] = field(default=(), compare=False, repr=False)
 
     @property
     def diversity(self) -> int:
@@ -73,10 +76,27 @@ def triangle_census(g: SignedCompleteGraph) -> TriangleCensus:
     """Exact triangle-label counts; requires n >= 3."""
     if g.n < 3:
         raise ValueError("need n >= 3 for a triangle census")
-    counts = [0, 0, 0, 0]
-    for t in _triangle_signs_raw(g):
-        counts[t] += 1
-    return TriangleCensus({F22(i): counts[i] for i in range(4)})
+    s = g._signs
+    labels = [s[i] ^ s[j] ^ s[k] for _, (i, j, k) in triangle_table(g.n)]
+    return TriangleCensus({F22(i): labels.count(i) for i in range(4)}, labels)
+
+
+def k4_label_counts(
+    g: SignedCompleteGraph, census: TriangleCensus
+) -> Iterator[tuple[tuple[int, int, int, int], int]]:
+    """Each K4 of ``g`` with the number of distinct labels among its four
+    triangles, in :func:`quad_table` order; ``census`` must be ``g``'s."""
+    labels = census.labels
+    for quad, positions in quad_table(g.n):
+        yield quad, len({labels[p] for p in positions})
+
+
+def first_all_distinct_k4(
+    g: SignedCompleteGraph, census: TriangleCensus
+) -> Optional[tuple[int, int, int, int]]:
+    """The first K4 in :func:`quad_table` order whose four triangle labels
+    are pairwise distinct, or None."""
+    return next((quad for quad, k in k4_label_counts(g, census) if k == 4), None)
 
 
 @dataclass(frozen=True)
@@ -139,14 +159,7 @@ def classify_k4(g: SignedCompleteGraph, quad: Sequence[int]) -> K4Class:
     vs = tuple(sorted(int(v) for v in quad))
     if len(set(vs)) != 4:
         raise ValueError(f"need four distinct vertices, got {quad}")
-    tris = tuple(
-        F22(
-            g._signs[edge_index(g.n, a, b)]
-            ^ g._signs[edge_index(g.n, a, c)]
-            ^ g._signs[edge_index(g.n, b, c)]
-        )
-        for a, b, c in combinations(vs, 3)
-    )
+    tris = tuple(triangle_sign(g, t) for t in combinations(vs, 3))
     if len(set(tris)) == 4:
         return K4Class(vs, tris, "all_distinct", common_triple=_find_common_triple(g, vs))
     # The four labels always sum to the identity (every edge is counted
@@ -157,6 +170,24 @@ def classify_k4(g: SignedCompleteGraph, quad: Sequence[int]) -> K4Class:
     else:
         pair = (ordered[0], ordered[1])
     return K4Class(vs, tris, "two_two", pair=pair)
+
+
+def _hub_triangles(
+    g: SignedCompleteGraph, hub: int
+) -> tuple[list[int], Callable[[int, int], int]]:
+    """The vertices other than ``hub``, and the int label of the hub
+    triangle hub-u-v as a function of (u, v)."""
+    s = g._signs
+    n = g.n
+    others = [v for v in g.vertices() if v != hub]
+    hub_edge = [0] * (n + 1)
+    for v in others:
+        hub_edge[v] = s[edge_index(n, hub, v)]
+
+    def tri(u: int, v: int) -> int:
+        return hub_edge[u] ^ hub_edge[v] ^ s[edge_index(n, u, v)]
+
+    return others, tri
 
 
 def find_consecutive_distinct_triple(
@@ -172,16 +203,7 @@ def find_consecutive_distinct_triple(
         raise ValueError("need n >= 5 for a consecutive triple")
     if hub < 1 or hub > g.n:
         raise ValueError(f"hub {hub} out of range")
-    s = g._signs
-    n = g.n
-    others = [v for v in g.vertices() if v != hub]
-    hub_edge = [0] * (n + 1)
-    for v in others:
-        hub_edge[v] = s[edge_index(n, hub, v)]
-
-    def tri(u: int, v: int) -> int:
-        return hub_edge[u] ^ hub_edge[v] ^ s[edge_index(n, u, v)]
-
+    others, tri = _hub_triangles(g, hub)
     for a in others:
         for b in others:
             if b == a:
@@ -199,6 +221,41 @@ def find_consecutive_distinct_triple(
                     t3 = tri(c, d)
                     if t3 != t1 and t3 != t2:
                         return (a, b, c, d)
+    return None
+
+
+def find_shared_edge_config(
+    g: SignedCompleteGraph, hub: int, signs3: Sequence[F22]
+) -> Optional[tuple[int, int, int, int, int]]:
+    """Two hub triangles sharing a hub edge with distinct labels, plus an
+    edge-disjoint third hub triangle carrying the remaining label.
+
+    ``signs3`` are the three triangle labels of a diversity-3 instance.
+    Returns (i, j, k, m, p): triangles hub-i-j and hub-j-k, third hub-m-p,
+    searched with j outermost, or None.
+    """
+    others, tri = _hub_triangles(g, hub)
+    all3 = {int(v) for v in signs3}
+    for j in others:
+        for i in others:
+            if i == j:
+                continue
+            t1 = tri(i, j)
+            for k in others:
+                if k in (i, j):
+                    continue
+                t2 = tri(j, k)
+                if t2 == t1:
+                    continue
+                third = (all3 - {t1, t2}).pop()
+                for m in others:
+                    if m in (i, j, k):
+                        continue
+                    for p in others:
+                        if p <= m or p in (i, j, k):
+                            continue
+                        if tri(m, p) == third:
+                            return (i, j, k, m, p)
     return None
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from itertools import combinations
+from pathlib import Path
 
 from . import io_gen, lemma_lab, oracle, solver
 from .census import classify_k4, triangle_census
@@ -39,7 +40,7 @@ def _load_instance(args: argparse.Namespace) -> SignedCompleteGraph:
     if len(picked) != 1:
         raise SystemExit2("exactly one of --in / --named / --random is required")
     if args.infile is not None:
-        text = sys.stdin.read() if args.infile == "-" else open(args.infile).read()
+        text = sys.stdin.read() if args.infile == "-" else Path(args.infile).read_text()
         g = io_gen.parse(text).to_graph()
     elif args.named is not None:
         g = io_gen.named_instance(args.named)

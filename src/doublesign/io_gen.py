@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graph import SignedCompleteGraph, all_edges, build, edge_index
+from .graph import SignedCompleteGraph, build, edge_index
 from .group import F22
 
 
@@ -235,7 +235,10 @@ def parse(text: str) -> InstanceRecord:
         seen[idx] = (min(u, v), max(u, v), s)
     if n is None:
         raise ParseError("empty input: missing 'n=<N>' header")
-    for idx, (u, v) in enumerate(all_edges(n)):
+    # Walk the pairs lazily: the first missing one is at most one past the
+    # edges given, so a large header alone costs nothing.
+    pairs = ((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+    for idx, (u, v) in enumerate(pairs):
         if idx not in seen:
             raise ParseError(f"missing edge ({u}, {v})")
     edges = tuple(seen[i] for i in range(len(seen)))

@@ -1,8 +1,10 @@
 """Machine verification of every structural claim, over finite domains.
 
 Each claim has a stable identifier and a verifier that re-derives it from
-group, graph, and oracle primitives only — never from the constructive
-solver — so a solver bug cannot vouch for itself.  Exhaustive scopes
+group, graph, census, sweep and oracle primitives — never from the
+constructive solver — so a solver bug cannot vouch for itself.  Triangle
+and K4 labels come from :mod:`census`; spectra from the oracle or, on
+exhaustive families, from the vectorized sweep.  Exhaustive scopes
 enumerate their whole domain exactly once; random scopes draw seeded
 instances so a failing report can be replayed from its embedded seed.
 
@@ -45,12 +47,12 @@ from .census import (
     TheoryViolationError,
     classify_k4,
     distinct_sign_edge_structure,
+    first_all_distinct_k4,
+    k4_label_counts,
     triangle_census,
-    _triangle_signs_raw,
-    quad_table,
 )
 from .cycle_space import basis
-from .graph import SignedCompleteGraph, all_edges
+from .graph import SignedCompleteGraph, all_edges, triangle_sign
 from .group import ELEMENTS, F22, NONZERO, pair_sums
 from .io_gen import free_edges, gen_random, normalized_domain_size
 from .oracle import hamiltonian_paths_spectrum, hamiltonian_spectrum, k4_path_report
@@ -115,12 +117,24 @@ def parse_scope(text: str, seed: int = 0) -> Scope:
     if kind == "exhaustive_normalized":
         if len(parts) != 2:
             raise ValueError("expected exhaustive_normalized:N")
-        return ExhaustiveNormalized(int(parts[1]))
+        return ExhaustiveNormalized(_scope_int(text, parts[1], "N", 3))
     if kind == "random":
         if len(parts) != 3:
             raise ValueError("expected random:N:COUNT")
-        return RandomScope(int(parts[1]), int(parts[2]), seed)
+        return RandomScope(
+            _scope_int(text, parts[1], "N", 3), _scope_int(text, parts[2], "COUNT", 1), seed
+        )
     raise ValueError(f"unknown scope {text!r}")
+
+
+def _scope_int(text: str, token: str, name: str, least: int) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise ValueError(f"scope {text!r}: {name} must be an integer") from None
+    if value < least:
+        raise ValueError(f"scope {text!r}: {name} must be at least {least}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +212,11 @@ def _canonical_sigma4star(g: SignedCompleteGraph) -> Optional[list[int]]:
     the identity and the triangles omitting v4, v3, v2 carry a, b, c —
     the frame used by the K4 path analysis.  None if not all-distinct.
     """
-    tris = {}
-    vs = (1, 2, 3, 4)
-    for omitted in vs:
-        tri = tuple(v for v in vs if v != omitted)
-        s = F22(
-            int(g.sign(tri[0], tri[1]))
-            ^ int(g.sign(tri[0], tri[2]))
-            ^ int(g.sign(tri[1], tri[2]))
-        )
-        tris[s] = omitted
-    if len(tris) != 4:
+    # Census labels follow triangle_table: 123, 124, 134, 234.
+    omitted = dict(zip(triangle_census(g).labels, (4, 3, 2, 1)))
+    if len(omitted) != 4:
         return None
-    return [tris[F22.E], tris[F22.C], tris[F22.B], tris[F22.A]]
+    return [omitted[F22.E], omitted[F22.C], omitted[F22.B], omitted[F22.A]]
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +248,9 @@ def _verify_lemma1(scope: Scope, report: VerificationReport, jobs: int) -> None:
         return
     for key, g in _graph_instances(scope):
         report.scanned += 1
-        tri = _triangle_signs_raw(g)
-        div = len(set(tri))
-        worst = max(len({tri[p] for p in pos}) for _, pos in quad_table(g.n))
+        census = triangle_census(g)
+        div = census.diversity
+        worst = max((k for _, k in k4_label_counts(g, census)), default=0)
         if worst == 3:
             report.add_violation({"instance": key, "detail": "K4 with exactly 3 labels"})
         if div <= 3 and worst > 2:
@@ -275,64 +281,47 @@ def _verify_lemma5(scope: Scope, report: VerificationReport, jobs: int) -> None:
                 )
 
 
-def _spectrum_bound_violations(
-    scope: Scope, report: VerificationReport, jobs: int, check: str
-) -> None:
+#: Spectrum-bound claims: which instances each covers (from diversity and
+#: whether an all-distinct K4 exists), whether the Hamiltonian label set
+#: must equal the bound implied by the triangle labels or only lie inside
+#: it, and the violation text for a single instance.
+_SPECTRUM_BOUNDS = {
+    "lemma22": (lambda div, star: div <= 2, False, "parity bound broken"),
+    "remark1": (lambda div, star: div == 1, True, "forced label broken"),
+    "lemma_b": (lambda div, star: div == 3, True, "spectrum not full"),
+    "lemma_c": (lambda div, star: div == 4, True, "spectrum not full"),
+    "case_beta": (lambda div, star: star, True, "spectrum not full"),
+}
+
+
+def _breaks_bound(spec_mask, allowed, exact: bool):
+    if exact:
+        return spec_mask != allowed
+    return (spec_mask & ~allowed) != 0
+
+
+def _spectrum_bound_violations(scope: Scope, report: VerificationReport, jobs: int) -> None:
     """Shared body for lemma22 / remark1 / lemma_b / lemma_c / case_beta."""
+    covers, exact, detail = _SPECTRUM_BOUNDS[report.lemma]
     if isinstance(scope, ExhaustiveNormalized):
         sw = sweep_mod.run_normalized_sweep(scope.n, jobs=jobs)
         report.scanned = sw.size
         allowed = sweep_mod.allowed_spectrum_mask(sw.tri_mask, scope.n)
-        if check == "lemma22":
-            mask = sw.diversity <= 2
-            bad = mask & ((sw.spec_mask & ~allowed) != 0)
-        elif check == "remark1":
-            mask = sw.diversity == 1
-            bad = mask & (sw.spec_mask != allowed)
-        elif check == "lemma_b":
-            mask = sw.diversity == 3
-            bad = mask & (sw.spec_mask != 15)
-        elif check == "lemma_c":
-            mask = sw.diversity == 4
-            bad = mask & (sw.spec_mask != 15)
-        else:  # case_beta
-            mask = sw.sigma4star
-            bad = mask & (sw.spec_mask != 15)
+        mask = covers(sw.diversity, sw.sigma4star)
         report.stats["qualifying"] = int(mask.sum())
-        for idx in np.nonzero(bad)[0]:
-            report.add_violation({"index": int(idx), "detail": f"{check} spectrum bound"})
+        for idx in np.nonzero(mask & _breaks_bound(sw.spec_mask, allowed, exact))[0]:
+            report.add_violation({"index": int(idx), "detail": f"{report.lemma} spectrum bound"})
         return
     for key, g in _graph_instances(scope):
         report.scanned += 1
         census = triangle_census(g)
-        div = census.diversity
-        signs = sorted(census.signs)
-        if check == "lemma22" and div <= 2:
-            realized = hamiltonian_spectrum(g).realized
-            if (g.n - 2) % 2:
-                allowed = set(signs)
-            else:
-                allowed = {F22.E} | ({signs[0] ^ signs[1]} if div == 2 else set())
-            if not realized <= allowed:
-                report.add_violation({"instance": key, "detail": "parity bound broken"})
-        elif check == "remark1" and div == 1:
-            x = signs[0]
-            expect = {x if (g.n - 2) % 2 else F22.E}
-            if hamiltonian_spectrum(g).realized != expect:
-                report.add_violation({"instance": key, "detail": "forced label broken"})
-        elif check == "lemma_b" and div == 3:
-            if hamiltonian_spectrum(g).realized != set(ELEMENTS):
-                report.add_violation({"instance": key, "detail": "spectrum not full"})
-        elif check == "lemma_c" and div == 4:
-            if hamiltonian_spectrum(g).realized != set(ELEMENTS):
-                report.add_violation({"instance": key, "detail": "spectrum not full"})
-        elif check == "case_beta":
-            tri = _triangle_signs_raw(g)
-            star = any(
-                len({tri[p] for p in pos}) == 4 for _, pos in quad_table(g.n)
-            )
-            if star and hamiltonian_spectrum(g).realized != set(ELEMENTS):
-                report.add_violation({"instance": key, "detail": "spectrum not full"})
+        if not covers(census.diversity, first_all_distinct_k4(g, census) is not None):
+            continue
+        tri_mask = np.array([sum(1 << s for s in census.signs)], dtype=np.uint8)
+        allowed = int(sweep_mod.allowed_spectrum_mask(tri_mask, g.n)[0])
+        spec_mask = sum(1 << s for s in hamiltonian_spectrum(g).realized)
+        if _breaks_bound(spec_mask, allowed, exact):
+            report.add_violation({"instance": key, "detail": detail})
 
 
 def _verify_proposition_norm(scope: Scope, report: VerificationReport, jobs: int) -> None:
@@ -349,9 +338,7 @@ def _verify_proposition_norm(scope: Scope, report: VerificationReport, jobs: int
             for a, b in all_edges(g.n):
                 if v in (a, b):
                     continue
-                expect = F22(
-                    int(g.sign(a, b)) ^ int(g.sign(a, v)) ^ int(g.sign(b, v))
-                )
+                expect = triangle_sign(g, (a, b, v))
                 if gn.sign(a, b) != expect:
                     report.add_violation(
                         {"instance": key, "detail": f"edge ({a},{b}) wrong after normalizing {v}"}
@@ -411,10 +398,10 @@ def _verify_lemma14(scope: Scope, report: VerificationReport, jobs: int) -> None
     they pair up as x, x, y, y."""
     for index, g in _k4_domain():
         report.scanned += 1
-        tris = [F22(t) for t in _triangle_signs_raw(g)]
+        tris = triangle_census(g).labels
         total = 0
         for t in tris:
-            total ^= int(t)
+            total ^= t
         if total:
             report.add_violation({"index": index, "detail": "triangle labels do not sum to e"})
         if len(set(tris)) == 4:
@@ -625,10 +612,8 @@ def _verify_case_alpha_forest(scope: Scope, report: VerificationReport, jobs: in
         return
     for key, g in _graph_instances(scope):
         report.scanned += 1
-        tri = _triangle_signs_raw(g)
-        if len(set(tri)) != 4:
-            continue
-        if any(len({tri[p] for p in pos}) == 4 for _, pos in quad_table(g.n)):
+        census = triangle_census(g)
+        if census.diversity != 4 or first_all_distinct_k4(g, census) is not None:
             continue
         report.stats["qualifying"] = report.stats.get("qualifying", 0) + 1
         gn, _ = normalize_at(g, 1)
@@ -651,10 +636,10 @@ _REGISTRY: dict[str, tuple[Callable, tuple, str]] = {
                "diversity <= 3 forces every K4 to at most two triangle labels"),
     "lemma5": (_verify_lemma5, (ExhaustiveNormalized, RandomScope),
                "diversity 3 means every hub basis realizes all three labels"),
-    "lemma22": (lambda s, r, j: _spectrum_bound_violations(s, r, j, "lemma22"),
+    "lemma22": (_spectrum_bound_violations,
                 (ExhaustiveNormalized, RandomScope),
                 "diversity <= 2 bounds the spectrum by the parity pair"),
-    "remark1": (lambda s, r, j: _spectrum_bound_violations(s, r, j, "remark1"),
+    "remark1": (_spectrum_bound_violations,
                 (ExhaustiveNormalized, RandomScope),
                 "diversity 1 pins the spectrum to one forced label"),
     "proposition_norm": (_verify_proposition_norm, (ExhaustiveK4, RandomScope),
@@ -675,15 +660,15 @@ _REGISTRY: dict[str, tuple[Callable, tuple, str]] = {
                    "equal 2-2-2 multisets <=> common-label triple <=> missing path label"),
     "thm11": (_verify_thm11, (ExhaustiveK4,),
               "a four-label start exists iff there is no common-label triple"),
-    "lemma_b": (lambda s, r, j: _spectrum_bound_violations(s, r, j, "lemma_b"),
+    "lemma_b": (_spectrum_bound_violations,
                 (ExhaustiveNormalized, RandomScope),
                 "exactly three triangle labels give the full spectrum (n > 5)"),
-    "lemma_c": (lambda s, r, j: _spectrum_bound_violations(s, r, j, "lemma_c"),
+    "lemma_c": (_spectrum_bound_violations,
                 (ExhaustiveNormalized, RandomScope),
                 "four triangle labels give the full spectrum (n > 5)"),
     "case_alpha_forest": (_verify_case_alpha_forest, (ExhaustiveNormalized, RandomScope),
                           "the four per-label witness edges form a forest"),
-    "case_beta": (lambda s, r, j: _spectrum_bound_violations(s, r, j, "case_beta"),
+    "case_beta": (_spectrum_bound_violations,
                   (ExhaustiveNormalized, RandomScope),
                   "an all-distinct K4 gives the full spectrum (n > 5)"),
 }

@@ -10,7 +10,6 @@ work from running away.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -77,15 +76,24 @@ def _check_bound(n: int, bound: int) -> None:
         )
 
 
-def _spectrum_for_seconds(
-    g: SignedCompleteGraph, seconds: tuple[int, ...], want_witnesses: bool
-) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """Spectrum contribution of circles whose second vertex is in `seconds`."""
+def hamiltonian_spectrum(
+    g: SignedCompleteGraph,
+    *,
+    bound: int = ENUMERATION_BOUND,
+    witnesses: bool = False,
+) -> Spectrum:
+    """Enumerate every Hamiltonian circle and count labels exactly.
+
+    ``witnesses`` additionally records the first circle found per label.
+    """
+    if g.n < 3:
+        raise ValueError("need n >= 3 for Hamiltonian circles")
+    _check_bound(g.n, bound)
     n = g.n
     s = g._signs
     counts = [0, 0, 0, 0]
     wit: dict[int, tuple[int, ...]] = {}
-    for second in seconds:
+    for second in range(2, n + 1):
         rest = [v for v in range(2, n + 1) if v != second]
         first_edge = s[edge_index(n, 1, second)]
         for perm in permutations(rest):
@@ -98,46 +106,8 @@ def _spectrum_for_seconds(
                 prev = v
             acc ^= s[edge_index(n, prev, 1)]
             counts[acc] += 1
-            if want_witnesses and acc not in wit:
+            if witnesses and acc not in wit:
                 wit[acc] = (1, second) + perm
-    return counts, wit
-
-
-def hamiltonian_spectrum(
-    g: SignedCompleteGraph,
-    *,
-    bound: int = ENUMERATION_BOUND,
-    witnesses: bool = False,
-    jobs: int = 1,
-) -> Spectrum:
-    """Enumerate every Hamiltonian circle and count labels exactly.
-
-    With ``jobs > 1`` the enumeration partitions by the choice of second
-    vertex; partitions share nothing and their counts merge at the end.
-    ``witnesses`` additionally records the first circle found per label.
-    """
-    if g.n < 3:
-        raise ValueError("need n >= 3 for Hamiltonian circles")
-    _check_bound(g.n, bound)
-    seconds = tuple(range(2, g.n + 1))
-    if jobs <= 1 or g.n <= 6:
-        counts, wit = _spectrum_for_seconds(g, seconds, witnesses)
-    else:
-        counts = [0, 0, 0, 0]
-        wit = {}
-        chunks = [seconds[i::jobs] for i in range(jobs) if seconds[i::jobs]]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(_spectrum_for_seconds, g, chunk, witnesses)
-                for chunk in chunks
-            ]
-            for fut in futures:
-                part, pw = fut.result()
-                for i in range(4):
-                    counts[i] += part[i]
-                for k, tour in pw.items():
-                    if k not in wit:
-                        wit[k] = tour
     count_map = {F22(i): counts[i] for i in range(4)}
     witness_map = (
         {F22(k): Circle(tour) for k, tour in sorted(wit.items())} if witnesses else None

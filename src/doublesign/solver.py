@@ -21,9 +21,13 @@ machine:
   labels, or the constant-bridge constructions when every outside vertex
   sees it uniformly.
 
-Nothing the case machine produces is trusted: every witness set is
-re-verified structurally (Hamiltonicity, recomputed labels, distinctness)
-before being returned, and any branch that fails to apply falls back to a
+The structures each branch starts from (chained or shared-edge hub
+triangles, the first all-distinct K4) come from :mod:`census`, the one
+module that reads triangle and K4 labels off a graph; a call makes one
+triangle-label pass and hands its labels to the K4 finder.  Nothing the
+case machine produces is trusted: every witness set is re-verified
+structurally (Hamiltonicity, recomputed labels, distinctness) before
+being returned, and any branch that fails to apply falls back to a
 bounded verified search.
 """
 
@@ -31,18 +35,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .census import (
-    K4Class,
-    classify_k4,
-    find_consecutive_distinct_triple,
-    quad_table,
-    triangle_census,
-    _triangle_signs_raw,
-    distinct_sign_edge_structure,
     EdgeStructure,
+    K4Class,
     TheoryViolationError,
+    TriangleCensus,
+    classify_k4,
+    distinct_sign_edge_structure,
+    find_consecutive_distinct_triple,
+    find_shared_edge_config,
+    first_all_distinct_k4,
+    triangle_census,
 )
 from .graph import (
     Circle,
@@ -51,6 +56,7 @@ from .graph import (
     Triangle,
     circle_symmetric_difference,
     edge_index,
+    triangle_sign,
     walk_sign,
 )
 from .group import ELEMENTS, F22
@@ -177,7 +183,10 @@ def predict_spectrum(g: SignedCompleteGraph) -> SpectrumPrediction:
     circle label keeps the parity of n-2.  With three or more labels and
     n > 5 the full set is achievable.
     """
-    census = triangle_census(g)
+    return _predict_from_census(g, triangle_census(g))
+
+
+def _predict_from_census(g: SignedCompleteGraph, census: TriangleCensus) -> SpectrumPrediction:
     div = census.diversity
     signs = sorted(census.signs)
     n = g.n
@@ -230,8 +239,8 @@ def _chained_triple_moves(
     sign = gn.sign
     frame = None
     for v1, v2, v3, v4 in permutations(sorted(quad)):
-        x = int(sign(v1, v2)) ^ int(sign(v1, v3)) ^ int(sign(v2, v3))
-        y = int(sign(v1, v3)) ^ int(sign(v1, v4)) ^ int(sign(v3, v4))
+        x = int(triangle_sign(gn, (v1, v2, v3)))
+        y = int(triangle_sign(gn, (v1, v3, v4)))
         if x == y:
             continue
         moves_arith = {
@@ -262,48 +271,6 @@ def _chained_triple_moves(
     return _witness_set(g, moves, f"{trace}/{panel}")
 
 
-def _find_shared_edge_config(
-    g: SignedCompleteGraph, hub: int, signs3: Sequence[F22]
-) -> Optional[tuple[int, int, int, int, int]]:
-    """Two hub triangles sharing a hub edge with distinct labels, plus an
-    edge-disjoint third hub triangle carrying the remaining label.
-
-    Returns (i, j, k, m, p): triangles hub-i-j and hub-j-k, third hub-m-p.
-    """
-    s = g._signs
-    n = g.n
-    others = [v for v in g.vertices() if v != hub]
-    hub_edge = [0] * (n + 1)
-    for v in others:
-        hub_edge[v] = s[edge_index(n, hub, v)]
-
-    def tri(u: int, v: int) -> int:
-        return hub_edge[u] ^ hub_edge[v] ^ s[edge_index(n, u, v)]
-
-    all3 = {int(v) for v in signs3}
-    for j in others:
-        for i in others:
-            if i == j:
-                continue
-            t1 = tri(i, j)
-            for k in others:
-                if k in (i, j):
-                    continue
-                t2 = tri(j, k)
-                if t2 == t1:
-                    continue
-                third = (all3 - {t1, t2}).pop()
-                for m in others:
-                    if m in (i, j, k):
-                        continue
-                    for p in others:
-                        if p <= m or p in (i, j, k):
-                            continue
-                        if tri(m, p) == third:
-                            return (i, j, k, m, p)
-    return None
-
-
 def _shared_edge_moves(
     g: SignedCompleteGraph, hub: int, cfg: tuple[int, int, int, int, int]
 ) -> WitnessSet:
@@ -317,8 +284,8 @@ def _shared_edge_moves(
     """
     i, j, k, m, p = cfg
     gn, _ = normalize_at(g, m)
-    x = int(gn.sign(hub, i)) ^ int(gn.sign(hub, j)) ^ int(gn.sign(i, j))
-    y = int(gn.sign(hub, j)) ^ int(gn.sign(hub, k)) ^ int(gn.sign(j, k))
+    x = int(triangle_sign(gn, (hub, i, j)))
+    y = int(triangle_sign(gn, (hub, j, k)))
     z = int(gn.sign(hub, p))
     if len({x, y, z}) != 3:
         raise _CaseFailed("shared-edge frame labels not distinct")
@@ -331,8 +298,8 @@ def _shared_edge_moves(
 
     # Subcase 2: K4 edges all carry the two triangle labels.
     v1, v2, v3, v4, v5, v6 = hub, i, j, k, m, p
-    alpha = int(gn.sign(v1, v2)) ^ int(gn.sign(v1, v4)) ^ int(gn.sign(v2, v4))
-    beta = int(gn.sign(v2, v3)) ^ int(gn.sign(v3, v4)) ^ int(gn.sign(v2, v4))
+    alpha = int(triangle_sign(gn, (v1, v2, v4)))
+    beta = int(triangle_sign(gn, (v2, v3, v4)))
     if {alpha, beta} != {x, y}:
         raise _CaseFailed("subcase 2 triangle labels off-pattern")
     rest7 = sorted(set(g.vertices()) - {v1, v2, v3, v4, v5, v6})
@@ -369,7 +336,7 @@ def _construct_diversity3(g: SignedCompleteGraph, signs3: Sequence[F22]) -> Witn
             gn, _ = normalize_at(g, d)
             return _chained_triple_moves(g, gn, (hub, a, b, c), d, "lemma_b/case1")
     for hub in g.vertices():
-        cfg = _find_shared_edge_config(g, hub, signs3)
+        cfg = find_shared_edge_config(g, hub, signs3)
         if cfg:
             return _shared_edge_moves(g, hub, cfg)
     raise _CaseFailed(
@@ -714,14 +681,6 @@ def _construct_case_beta(g: SignedCompleteGraph, quad: tuple[int, ...]) -> Witne
     return _case_beta_constant_bridges(g, gn, quad, v5, k4class)
 
 
-def _first_all_distinct_quad(g: SignedCompleteGraph) -> Optional[tuple[int, ...]]:
-    tri = _triangle_signs_raw(g)
-    for quad, positions in quad_table(g.n):
-        if len({tri[p] for p in positions}) == 4:
-            return quad
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Fallback search and the public entry point
 # ---------------------------------------------------------------------------
@@ -777,7 +736,7 @@ def construct_witnesses(g: SignedCompleteGraph) -> WitnessSet:
     census = triangle_census(g)
     div = census.diversity
     if div <= 2:
-        raise RestrictedSpectrumError(predict_spectrum(g))
+        raise RestrictedSpectrumError(_predict_from_census(g, census))
     if g.n <= 5:
         raise UnsupportedSizeError(
             f"witness construction needs n > 5, got n={g.n}"
@@ -786,7 +745,7 @@ def construct_witnesses(g: SignedCompleteGraph) -> WitnessSet:
         if div == 3:
             ws = _construct_diversity3(g, sorted(census.signs))
         else:
-            quad = _first_all_distinct_quad(g)
+            quad = first_all_distinct_k4(g, census)
             if quad is None:
                 ws = _construct_case_alpha(g)
             else:

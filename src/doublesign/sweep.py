@@ -16,7 +16,7 @@ non-hub edge of each label sits.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,17 +76,11 @@ def analyze_sign_matrix(n: int, signs: np.ndarray) -> BatchAnalysis:
 
 
 @dataclass
-class NormalizedSweep:
+class NormalizedSweep(BatchAnalysis):
     """Batch facts for a contiguous index range of the normalized family."""
 
-    n: int
     start: int
     size: int
-    diversity: np.ndarray
-    tri_mask: np.ndarray
-    spec_mask: np.ndarray
-    sigma4star: np.ndarray
-    quad3: np.ndarray
     edge_mask: np.ndarray  # labels realized by non-hub edges
     first_edge: np.ndarray  # (size, 4): first free-edge position per label
 
@@ -117,20 +111,15 @@ def _sweep_range(n: int, start: int, stop: int) -> NormalizedSweep:
     for s in range(4):
         first_edge[:, s] = np.argmax(free_signs == s, axis=1)
     return NormalizedSweep(
-        n,
-        start,
-        stop - start,
-        base.diversity,
-        base.tri_mask,
-        base.spec_mask,
-        base.sigma4star,
-        base.quad3,
-        edge_mask,
-        first_edge,
+        **vars(base), start=start, size=stop - start, edge_mask=edge_mask, first_edge=first_edge
     )
 
 
 _SWEEP_CACHE: dict[tuple[int, int, int], NormalizedSweep] = {}
+
+#: Rows per sweep chunk: bounds the working arrays of one chunk and is the
+#: unit of work handed to each worker process.
+_CHUNK = 1 << 16
 
 
 def run_normalized_sweep(
@@ -139,13 +128,13 @@ def run_normalized_sweep(
     stop: int | None = None,
     *,
     jobs: int = 1,
-    chunk: int = 1 << 16,
 ) -> NormalizedSweep:
     """Sweep an index range of the hub-normalized family (default: all).
 
-    With ``jobs > 1`` chunks are processed by worker processes and the
-    results concatenated in index order; the output is identical to a
-    single-worker run, so results are cached per range.
+    The range is processed in chunks of :data:`_CHUNK` rows, by worker
+    processes when ``jobs > 1``, and the results concatenated in index
+    order; the output is identical to a single-worker run, so results are
+    cached per range.
     """
     total = normalized_domain_size(n)
     if stop is None:
@@ -155,7 +144,7 @@ def run_normalized_sweep(
     cached = _SWEEP_CACHE.get((n, start, stop))
     if cached is not None:
         return cached
-    ranges = [(s, min(s + chunk, stop)) for s in range(start, stop, chunk)]
+    ranges = [(s, min(s + _CHUNK, stop)) for s in range(start, stop, _CHUNK)]
     if not ranges:
         ranges = [(start, stop)]
     if jobs <= 1 or len(ranges) == 1:
@@ -164,18 +153,12 @@ def run_normalized_sweep(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_sweep_range, n, a, b) for a, b in ranges]
             parts = [f.result() for f in futures]
-    result = NormalizedSweep(
-        n,
-        start,
-        stop - start,
-        np.concatenate([p.diversity for p in parts]),
-        np.concatenate([p.tri_mask for p in parts]),
-        np.concatenate([p.spec_mask for p in parts]),
-        np.concatenate([p.sigma4star for p in parts]),
-        np.concatenate([p.quad3 for p in parts]),
-        np.concatenate([p.edge_mask for p in parts]),
-        np.concatenate([p.first_edge for p in parts]),
-    )
+    arrays = {
+        f.name: np.concatenate([getattr(p, f.name) for p in parts])
+        for f in fields(NormalizedSweep)
+        if f.name not in ("n", "start", "size")
+    }
+    result = NormalizedSweep(n=n, start=start, size=stop - start, **arrays)
     if stop - start <= 4 ** 10:
         _SWEEP_CACHE[(n, start, stop)] = result
     return result

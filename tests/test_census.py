@@ -94,6 +94,32 @@ def test_consecutive_triple_postcondition_on_seeded_instances():
         assert 1 not in {a, b, c, d}
 
 
+def test_shared_edge_config_postcondition_on_diversity3_instances():
+    import numpy as np
+
+    from doublesign import ELEMENTS, instance_from_index, triangle_sign
+    from doublesign.census import find_shared_edge_config
+    from doublesign.sweep import run_normalized_sweep
+
+    assert find_shared_edge_config(named_instance("identity(7)"), 1, ELEMENTS[:3]) is None
+    found = 0
+    for index in np.nonzero(run_normalized_sweep(6).diversity == 3)[0][::250]:
+        g = instance_from_index(6, int(index))
+        signs3 = sorted(triangle_census(g).signs)
+        for hub in g.vertices():
+            got = find_shared_edge_config(g, hub, signs3)
+            if got is None:
+                continue
+            found += 1
+            i, j, k, m, p = got
+            t1 = triangle_sign(g, (hub, i, j))
+            t2 = triangle_sign(g, (hub, j, k))
+            assert t1 != t2
+            assert triangle_sign(g, (hub, m, p)) == (set(signs3) - {t1, t2}).pop()
+            assert m < p and len({hub, i, j, k, m, p}) == 6
+    assert found
+
+
 class TestDistinctSignEdgeStructure:
     def test_requires_normalized_hub(self, share_vertex_k4):
         with pytest.raises(ValueError, match="not normalized"):

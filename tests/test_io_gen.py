@@ -98,6 +98,14 @@ class TestSerialization:
         with pytest.raises(ParseError, match=r"missing edge \(2, 3\)"):
             parse(text)
 
+    def test_large_header_fails_fast_without_building_the_edge_list(self):
+        from doublesign.graph import all_edges
+
+        before = all_edges.cache_info().currsize
+        with pytest.raises(ParseError, match=r"missing edge \(1, 2\)"):
+            parse("n=100000\n")
+        assert all_edges.cache_info().currsize == before
+
     def test_bad_label_reports_line_number(self):
         text = "n=3\n1 2 a\n1 3 d\n2 3 b\n"
         with pytest.raises(ParseError, match="line 3"):

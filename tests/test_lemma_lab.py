@@ -3,6 +3,7 @@ import json
 import pytest
 
 from doublesign import lemma_ids, verify
+from doublesign.cli import main
 from doublesign.lemma_lab import (
     ExhaustiveGroup,
     ExhaustiveK4,
@@ -35,6 +36,26 @@ def test_parse_scope_forms():
         parse_scope("everything")
     with pytest.raises(ValueError):
         parse_scope("random:7")
+
+
+@pytest.mark.parametrize(
+    "lemma,scope,code",
+    [
+        ("lemma_b", "random:6:-5", 2),
+        ("lemma_b", "random:6:0", 2),
+        ("lemma1", "random:2:5", 2),
+        ("lemma1", "exhaustive_normalized:0", 2),
+        ("lemma1", "exhaustive_normalized:-1", 2),
+        ("lemma1", "exhaustive_normalized:2", 2),
+        ("lemma1", "random:3:5", 0),  # no K4 at n = 3, so nothing to violate
+    ],
+)
+def test_degenerate_scopes_are_usage_errors_or_pass(lemma, scope, code, capsys):
+    assert main(["verify", "--lemma", lemma, "--scope", scope]) == code
+    if code == 2:
+        assert repr(scope) in capsys.readouterr().err
+    else:
+        assert "PASS over 5 seeded" in capsys.readouterr().out
 
 
 def test_unknown_lemma():

@@ -57,13 +57,6 @@ def test_enumeration_bound_guard():
     assert hamiltonian_spectrum(g, bound=6).total == 60
 
 
-def test_parallel_spectrum_matches_serial():
-    g = gen_random(7, 5)
-    serial = hamiltonian_spectrum(g)
-    parallel = hamiltonian_spectrum(g, jobs=2)
-    assert serial.counts == parallel.counts
-
-
 def test_path_multiset_from_start(share_vertex_k4):
     assert hamiltonian_paths_spectrum(share_vertex_k4, 1) == (
         F22.E, F22.E, F22.B, F22.B, F22.C, F22.C,

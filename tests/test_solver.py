@@ -119,6 +119,26 @@ def test_branch_fixtures_build_verified_full_sets(index, trace):
     assert hamiltonian_spectrum(g).realized == frozenset(ELEMENTS)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [gen_random(6, 17), instance_from_index(6, 262), named_instance("identity(6)"),
+     gen_random(20, 3)],
+    ids=["n6-diversity4", "n6-diversity3", "n6-refused", "n20"],
+)
+def test_construction_makes_one_triangle_label_pass(g, monkeypatch):
+    from doublesign import census
+
+    census.quad_table(g.n)  # a cold quad table reads triangle_table itself
+    calls = []
+    table = census.triangle_table
+    monkeypatch.setattr(census, "triangle_table", lambda n: calls.append(n) or table(n))
+    try:
+        construct_witnesses(g)
+    except RestrictedSpectrumError:
+        pass
+    assert calls == [g.n]
+
+
 def _constant_bridge_fixture(n: int):
     # an all-distinct K4 whose three a-labeled edges meet at vertex 4;
     # vertex 5 pre-normalized; every later vertex sees the K4 uniformly
