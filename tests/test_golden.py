@@ -2,8 +2,9 @@
 
 Each entry is a name and the SHA-256 prefix of a canonical JSON rendering
 of one output: a witness set (trace, circles, labels) or the refusal
-text of ``construct_witnesses``, an oracle spectrum with witnesses, a
-claim report without its timing, or one array of the n = 6 sweep.  A
+text of ``construct_witnesses``, a witness set of the shared-edge moves,
+an oracle spectrum with witnesses, a claim report without its timing, or
+one array of the n = 6 sweep.  A
 refactor passes only if every entry comes out unchanged; a mismatch names
 the first entry that differs.
 
@@ -31,8 +32,15 @@ from doublesign import (
     lemma_ids,
     verify,
 )
+from doublesign.solver import _shared_edge_moves
 from doublesign.sweep import run_normalized_sweep
-from test_solver import BRANCH_FIXTURES
+from conftest import graph_from
+from test_solver import (
+    BRANCH_FIXTURES,
+    SHARED_EDGE_CONFIG,
+    SHARED_EDGE_FIXTURES,
+    constant_bridge_fixture,
+)
 
 DATA = Path(__file__).with_name("golden_digests.json")
 
@@ -55,15 +63,19 @@ def _digest(payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _witness_payload(ws):
+    return {
+        "trace": ws.trace,
+        "witnesses": [[list(c.vertices), s.render()] for c, s in ws.witnesses],
+    }
+
+
 def _construct_payload(g):
     try:
         ws = construct_witnesses(g)
     except (RestrictedSpectrumError, UnsupportedSizeError) as exc:
         return {"refused": f"{type(exc).__name__}: {exc}"}
-    return {
-        "trace": ws.trace,
-        "witnesses": [[list(c.vertices), s.render()] for c, s in ws.witnesses],
-    }
+    return _witness_payload(ws)
 
 
 def _n6_indices() -> list[int]:
@@ -80,6 +92,12 @@ def _n6_indices() -> list[int]:
 def _construct_entries():
     for index, _ in BRANCH_FIXTURES:
         yield f"fixture/{index}", _construct_payload(instance_from_index(6, index))
+    # lemma_b/case2 and case_beta/case3b occur on none of the sampled inputs
+    for subcase, labels in SHARED_EDGE_FIXTURES.items():
+        ws = _shared_edge_moves(graph_from(6, labels), 1, SHARED_EDGE_CONFIG)
+        yield f"shared_edge/subcase{subcase}", _witness_payload(ws)
+    for n in (7, 9):
+        yield f"constant_bridge/{n}", _construct_payload(constant_bridge_fixture(n))
     for index in _n6_indices():
         yield f"n6/{index}", _construct_payload(instance_from_index(6, index))
     for n in range(7, 13):

@@ -139,7 +139,7 @@ def test_construction_makes_one_triangle_label_pass(g, monkeypatch):
     assert calls == [g.n]
 
 
-def _constant_bridge_fixture(n: int):
+def constant_bridge_fixture(n: int):
     # an all-distinct K4 whose three a-labeled edges meet at vertex 4;
     # vertex 5 pre-normalized; every later vertex sees the K4 uniformly
     labels = {(1, 2): "b", (1, 3): "c", (1, 4): "a", (2, 3): "e", (2, 4): "a",
@@ -154,7 +154,7 @@ def _constant_bridge_fixture(n: int):
 
 @pytest.mark.parametrize("n", [7, 9])
 def test_constant_bridge_branch(n):
-    g = _constant_bridge_fixture(n)
+    g = constant_bridge_fixture(n)
     ws = construct_witnesses(g)
     assert ws.trace == "lemma_c/case_beta/case3b"
     assert ws.signs == frozenset(ELEMENTS)
@@ -214,23 +214,32 @@ class TestChainedTripleConstruction:
         assert construct_witnesses(g).signs == expected
 
 
+# Labels (default e) on which _shared_edge_moves(g, 1, SHARED_EDGE_CONFIG)
+# takes each subcase of lemma_b/case2.  No sampled instance reaches that
+# branch, so these are its only inputs.
+SHARED_EDGE_CONFIG = (2, 3, 4, 5, 6)
+SHARED_EDGE_FIXTURES = {
+    # diversity {e, a, b}: the K4 spanned by the two shared-edge
+    # triangles carries the third label (here the identity) on its own
+    # edges, reducing to the chained-triple frame
+    1: {(2, 3): "a", (2, 4): "a", (3, 4): "b"},
+    2: {(1, v): "e" for v in range(2, 7)}
+    | {(2, 3): "a", (3, 4): "b", (5, 6): "c", (2, 4): "a"},
+}
+
+
 class TestSharedEdgeConstruction:
     def test_explicit_configuration_subcase2(self):
-        labels = {(1, v): "e" for v in range(2, 7)}
-        labels |= {(2, 3): "a", (3, 4): "b", (5, 6): "c", (2, 4): "a"}
-        g = graph_from(6, labels)
-        ws = _shared_edge_moves(g, 1, (2, 3, 4, 5, 6))
+        g = graph_from(6, SHARED_EDGE_FIXTURES[2])
+        ws = _shared_edge_moves(g, 1, SHARED_EDGE_CONFIG)
         assert ws.trace.startswith("lemma_b/case2/subcase2")
         verify_witness_set(g, ws)
         assert ws.signs == frozenset(ELEMENTS)
 
     def test_explicit_configuration_subcase1(self):
-        # diversity {e, a, b}: the K4 spanned by the two shared-edge
-        # triangles carries the third label (here the identity) on its own
-        # edges, reducing to the chained-triple frame
-        g = graph_from(6, {(2, 3): "a", (2, 4): "a", (3, 4): "b"})
+        g = graph_from(6, SHARED_EDGE_FIXTURES[1])
         assert triangle_census(g).signs == {F22.E, F22.A, F22.B}
-        ws = _shared_edge_moves(g, 1, (2, 3, 4, 5, 6))
+        ws = _shared_edge_moves(g, 1, SHARED_EDGE_CONFIG)
         assert ws.trace.startswith("lemma_b/case2/subcase1")
         verify_witness_set(g, ws)
         assert ws.signs == frozenset(ELEMENTS)
