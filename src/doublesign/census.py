@@ -20,6 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import SignedCompleteGraph, all_edges, edge_index, triangle_sign
 from .group import ELEMENTS, F22
+from .switching import require_normalized
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +79,7 @@ def triangle_census(g: SignedCompleteGraph) -> TriangleCensus:
         raise ValueError("need n >= 3 for a triangle census")
     s = g._signs
     labels = [s[i] ^ s[j] ^ s[k] for _, (i, j, k) in triangle_table(g.n)]
-    return TriangleCensus({F22(i): labels.count(i) for i in range(4)}, labels)
+    return TriangleCensus({s: labels.count(s) for s in ELEMENTS}, labels)
 
 
 def k4_label_counts(
@@ -137,10 +138,10 @@ class K4Class:
 def _find_common_triple(
     g: SignedCompleteGraph, quad: Sequence[int]
 ) -> Optional[CommonSignTriple]:
-    pairs = [(u, v) for u, v in combinations(sorted(quad), 2)]
-    by_sign: dict[F22, list[tuple[int, int]]] = {}
-    for u, v in pairs:
-        by_sign.setdefault(g.sign(u, v), []).append((u, v))
+    rows = g.rows
+    by_sign: dict[int, list[tuple[int, int]]] = {}
+    for u, v in combinations(sorted(quad), 2):
+        by_sign.setdefault(rows[u][v], []).append((u, v))
     for s in ELEMENTS:
         edges = by_sign.get(s, [])
         if len(edges) != 3:
@@ -177,15 +178,13 @@ def _hub_triangles(
 ) -> tuple[list[int], Callable[[int, int], int]]:
     """The vertices other than ``hub``, and the int label of the hub
     triangle hub-u-v as a function of (u, v)."""
-    s = g._signs
-    n = g.n
+    g.check_vertices(hub)
+    rows = g.rows
+    hub_edge = rows[hub]
     others = [v for v in g.vertices() if v != hub]
-    hub_edge = [0] * (n + 1)
-    for v in others:
-        hub_edge[v] = s[edge_index(n, hub, v)]
 
     def tri(u: int, v: int) -> int:
-        return hub_edge[u] ^ hub_edge[v] ^ s[edge_index(n, u, v)]
+        return hub_edge[u] ^ hub_edge[v] ^ rows[u][v]
 
     return others, tri
 
@@ -201,8 +200,6 @@ def find_consecutive_distinct_triple(
     """
     if g.n < 5:
         raise ValueError("need n >= 5 for a consecutive triple")
-    if hub < 1 or hub > g.n:
-        raise ValueError(f"hub {hub} out of range")
     others, tri = _hub_triangles(g, hub)
     for a in others:
         for b in others:
@@ -235,7 +232,7 @@ def find_shared_edge_config(
     searched with j outermost, or None.
     """
     others, tri = _hub_triangles(g, hub)
-    all3 = {int(v) for v in signs3}
+    all3 = set(signs3)
     for j in others:
         for i in others:
             if i == j:
@@ -257,6 +254,23 @@ def find_shared_edge_config(
                         if tri(m, p) == third:
                             return (i, j, k, m, p)
     return None
+
+
+def is_forest(edges: Sequence[tuple[int, int]]) -> bool:
+    """Whether ``edges`` contain no cycle (a repeated edge is a cycle)."""
+    parent: dict[int, int] = {}  # roots have no entry
+
+    def find(x: int) -> int:
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
 
 
 class TheoryViolationError(Exception):
@@ -296,18 +310,14 @@ def distinct_sign_edge_structure(g: SignedCompleteGraph, hub: int) -> EdgeStruct
     with the fourth edge attached or disjoint, or a union of disjoint
     paths.  A cycle among them raises :class:`TheoryViolationError`.
     """
-    n = g.n
-    s = g._signs
-    for v in g.vertices():
-        if v != hub and s[edge_index(n, hub, v)] != 0:
-            raise ValueError(f"graph is not normalized at {hub}")
-    chosen: dict[F22, tuple[int, int]] = {}
-    for u, v in all_edges(n):
+    require_normalized(g, hub)
+    rows = g.rows
+    chosen: dict[int, tuple[int, int]] = {}
+    for u, v in all_edges(g.n):
         if u == hub or v == hub:
             continue
-        sign = F22(s[edge_index(n, u, v)])
-        if sign not in chosen:
-            chosen[sign] = (u, v)
+        if rows[u][v] not in chosen:
+            chosen[rows[u][v]] = (u, v)
             if len(chosen) == 4:
                 break
     if len(chosen) < 4:
@@ -320,22 +330,8 @@ def distinct_sign_edge_structure(g: SignedCompleteGraph, hub: int) -> EdgeStruct
         degree[u] = degree.get(u, 0) + 1
         degree[v] = degree.get(v, 0) + 1
 
-    # Cycle detection: 4 edges form a forest iff components = vertices - 4.
-    parent = {v: v for v in degree}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise TheoryViolationError(
-                f"distinct-label edges {edges} contain a cycle"
-            )
-        parent[ru] = rv
+    if not is_forest(edges):
+        raise TheoryViolationError(f"distinct-label edges {edges} contain a cycle")
 
     max_deg = max(degree.values())
     if max_deg == 4:
@@ -347,4 +343,6 @@ def distinct_sign_edge_structure(g: SignedCompleteGraph, hub: int) -> EdgeStruct
         case = 2 if attached else 3
     else:
         case = 4
-    return EdgeStructure(case, _CASE_LABELS[case], dict(sorted(chosen.items())))
+    return EdgeStructure(
+        case, _CASE_LABELS[case], {F22(s): e for s, e in sorted(chosen.items())}
+    )

@@ -30,8 +30,7 @@ class TriangleBasis:
 
 def basis(g: SignedCompleteGraph, hub: int) -> TriangleBasis:
     """The (n-1)(n-2)/2 hub triangles of ``g``, in lexicographic order."""
-    if hub < 1 or hub > g.n:
-        raise ValueError(f"hub {hub} out of range for n={g.n}")
+    g.check_vertices(hub)
     if g.n < 3:
         raise ValueError("need n >= 3 for triangles")
     others = [v for v in g.vertices() if v != hub]

@@ -1,10 +1,12 @@
 """The edge-labeled complete graph and sign evaluation of walks.
 
 Vertices are 1-based and contiguous.  A graph stores one label per
-unordered pair in a flat triangular array, indexed arithmetically, so
-lookups are O(1) and instances are cheap to copy during sign sweeps.
-Graphs are immutable after construction; every operation here is
-read-only and safe to share across workers.
+unordered pair in a flat triangular array, cheap to copy during sign
+sweeps and read by whole-graph passes.  Single labels are read as ints
+from the row table ``rows`` that the constructor builds once; :class:`F22`
+is built only where a public function returns a label.  Graphs are
+immutable after construction; every operation here is read-only and
+safe to share across workers.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .group import F22
+from .group import ELEMENTS, F22
 
 
 def edge_index(n: int, u: int, v: int) -> int:
@@ -32,10 +34,27 @@ def all_edges(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
 
 
-class SignedCompleteGraph:
-    """Complete graph on ``n`` vertices with a total edge-label map."""
+def _row_table(n: int, signs: bytes) -> tuple[bytes, ...]:
+    """The labels in ``signs`` as a square; row 0, column 0 and the diagonal are 0."""
+    width = n + 1
+    table = bytearray(width * width)
+    for u in range(1, n):
+        row = signs[edge_index(n, u, u + 1) : edge_index(n, u, n) + 1]
+        table[u * width + u + 1 : (u + 1) * width] = row
+        table[(u + 1) * width + u :: width] = row
+    flat = bytes(table)
+    return tuple([flat[u * width : (u + 1) * width] for u in range(width)])
 
-    __slots__ = ("n", "_signs")
+
+class SignedCompleteGraph:
+    """Complete graph on ``n`` vertices with a total edge-label map.
+
+    ``rows[u][v]`` is the int label of edge {u, v}.  Readers check their
+    vertices with :meth:`check_vertices` first: a negative index would
+    silently read another row.
+    """
+
+    __slots__ = ("n", "_signs", "rows")
 
     def __init__(self, n: int, signs: bytes):
         if n < 2:
@@ -44,6 +63,7 @@ class SignedCompleteGraph:
             raise ValueError(f"expected {n * (n - 1) // 2} signs, got {len(signs)}")
         self.n = n
         self._signs = signs
+        self.rows = _row_table(n, signs)
 
     @classmethod
     def from_signs(cls, n: int, signs: Sequence[int]) -> "SignedCompleteGraph":
@@ -52,7 +72,15 @@ class SignedCompleteGraph:
 
     def sign(self, u: int, v: int) -> F22:
         """Label of edge {u, v}; symmetric in its arguments."""
-        return F22(self._signs[edge_index(self.n, u, v)])
+        if u == v:
+            raise ValueError(f"degenerate edge ({u}, {v})")
+        self.check_vertices(u, v)
+        return ELEMENTS[self.rows[u][v]]
+
+    def check_vertices(self, *vertices: int) -> None:
+        """Raise ``ValueError`` unless every vertex lies in 1..n."""
+        if min(vertices) < 1 or max(vertices) > self.n:
+            raise ValueError(f"vertex out of range for n={self.n}: {vertices}")
 
     def edges(self) -> Iterator[tuple[int, int, F22]]:
         """All edges with their labels, in index order."""
@@ -187,12 +215,12 @@ def walk_sign(g: SignedCompleteGraph, walk: Circle | Path) -> F22:
     Independent of orientation, and of rotation for circles, because the
     label group is commutative and the traversed edge set is the same.
     """
-    signs = g._signs
-    n = g.n
+    g.check_vertices(*walk.vertices)
+    rows = g.rows
     acc = 0
     for u, v in walk.edges():
-        acc ^= signs[edge_index(n, u, v)]
-    return F22(acc)
+        acc ^= rows[u][v]
+    return ELEMENTS[acc]
 
 
 def triangle_sign(g: SignedCompleteGraph, t: Triangle | Sequence[int]) -> F22:
@@ -200,13 +228,9 @@ def triangle_sign(g: SignedCompleteGraph, t: Triangle | Sequence[int]) -> F22:
     a, b, c = t
     if a == b or a == c or b == c:
         raise ValueError(f"degenerate triangle ({a}, {b}, {c})")
-    signs = g._signs
-    n = g.n
-    return F22(
-        signs[edge_index(n, a, b)]
-        ^ signs[edge_index(n, a, c)]
-        ^ signs[edge_index(n, b, c)]
-    )
+    g.check_vertices(a, b, c)
+    rows = g.rows
+    return ELEMENTS[rows[a][b] ^ rows[a][c] ^ rows[b][c]]
 
 
 def circle_symmetric_difference(
@@ -227,8 +251,7 @@ def circle_symmetric_difference(
     if len(outside) != 1:
         raise ValueError(f"triangle {tv} must have exactly one vertex off the circle")
     new = outside[0]
-    if new > g.n or new < 1:
-        raise ValueError(f"vertex {new} out of range")
+    g.check_vertices(new)
     i, j = (v for v in tv if v != new)
     vs = h.vertices
     k = len(vs)

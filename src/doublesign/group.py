@@ -49,7 +49,7 @@ class F22(IntEnum):
 
 _BY_NAME = {"e": F22.E, "a": F22.A, "b": F22.B, "c": F22.C}
 
-#: All four elements in canonical order.
+#: All four elements in canonical order, so ``ELEMENTS[i]`` is ``F22(i)``.
 ELEMENTS = (F22.E, F22.A, F22.B, F22.C)
 
 #: The three nonzero elements.

@@ -48,6 +48,7 @@ from .census import (
     classify_k4,
     distinct_sign_edge_structure,
     first_all_distinct_k4,
+    is_forest,
     k4_label_counts,
     triangle_census,
 )
@@ -80,11 +81,19 @@ class ExhaustiveGroup:
         return "all qualifying group quadruples (<= 256)"
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class ExhaustiveNormalized:
-    """All hub-normalized labelings at a given n."""
+    """All hub-normalized labelings at a given n >= 3."""
 
     n: int
+
+    def __post_init__(self) -> None:
+        _at_least("N", self.n, 3)
 
     def describe(self) -> str:
         return f"all {normalized_domain_size(self.n)} hub-normalized labelings at n={self.n}"
@@ -92,11 +101,16 @@ class ExhaustiveNormalized:
 
 @dataclass(frozen=True)
 class RandomScope:
-    """Seeded instances gen_random(n, seed), ..., gen_random(n, seed+count-1)."""
+    """Seeded instances gen_random(n, seed), ..., gen_random(n, seed+count-1),
+    for n >= 3 and count >= 1."""
 
     n: int
     count: int
     seed: int
+
+    def __post_init__(self) -> None:
+        _at_least("N", self.n, 3)
+        _at_least("COUNT", self.count, 1)
 
     def describe(self) -> str:
         return f"{self.count} seeded random instances at n={self.n} (seed {self.seed})"
@@ -114,27 +128,25 @@ def parse_scope(text: str, seed: int = 0) -> Scope:
         return ExhaustiveK4()
     if kind == "exhaustive_group":
         return ExhaustiveGroup()
-    if kind == "exhaustive_normalized":
-        if len(parts) != 2:
-            raise ValueError("expected exhaustive_normalized:N")
-        return ExhaustiveNormalized(_scope_int(text, parts[1], "N", 3))
-    if kind == "random":
-        if len(parts) != 3:
-            raise ValueError("expected random:N:COUNT")
-        return RandomScope(
-            _scope_int(text, parts[1], "N", 3), _scope_int(text, parts[2], "COUNT", 1), seed
-        )
+    try:
+        if kind == "exhaustive_normalized":
+            if len(parts) != 2:
+                raise ValueError("expected exhaustive_normalized:N")
+            return ExhaustiveNormalized(_scope_int(parts[1], "N"))
+        if kind == "random":
+            if len(parts) != 3:
+                raise ValueError("expected random:N:COUNT")
+            return RandomScope(_scope_int(parts[1], "N"), _scope_int(parts[2], "COUNT"), seed)
+    except ValueError as exc:
+        raise ValueError(f"scope {text!r}: {exc}") from None
     raise ValueError(f"unknown scope {text!r}")
 
 
-def _scope_int(text: str, token: str, name: str, least: int) -> int:
+def _scope_int(token: str, name: str) -> int:
     try:
-        value = int(token)
+        return int(token)
     except ValueError:
-        raise ValueError(f"scope {text!r}: {name} must be an integer") from None
-    if value < least:
-        raise ValueError(f"scope {text!r}: {name} must be at least {least}")
-    return value
+        raise ValueError(f"{name} must be an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +455,14 @@ def _verify_table1(scope: Scope, report: VerificationReport, jobs: int) -> None:
         if order is None:
             continue
         report.scanned += 1
+        rows = g.rows
 
-        def sig(a: int, b: int) -> F22:
-            return g.sign(order[a - 1], order[b - 1])
+        def sig(a: int, b: int) -> int:
+            return rows[order[a - 1]][order[b - 1]]
         circle_signs = {
-            "C1": F22(int(sig(1, 2)) ^ int(sig(2, 3)) ^ int(sig(3, 4)) ^ int(sig(1, 4))),
-            "C2": F22(int(sig(1, 2)) ^ int(sig(2, 4)) ^ int(sig(3, 4)) ^ int(sig(1, 3))),
-            "C3": F22(int(sig(1, 3)) ^ int(sig(2, 3)) ^ int(sig(2, 4)) ^ int(sig(1, 4))),
+            "C1": sig(1, 2) ^ sig(2, 3) ^ sig(3, 4) ^ sig(1, 4),
+            "C2": sig(1, 2) ^ sig(2, 4) ^ sig(3, 4) ^ sig(1, 3),
+            "C3": sig(1, 3) ^ sig(2, 3) ^ sig(2, 4) ^ sig(1, 4),
         }
         if (circle_signs["C1"], circle_signs["C2"], circle_signs["C3"]) != (
             F22.B,
@@ -463,19 +476,17 @@ def _verify_table1(scope: Scope, report: VerificationReport, jobs: int) -> None:
             ((1, 4), (2, 3), "C1", "C3"),
             ((1, 3), (2, 4), "C2", "C3"),
         ]
-        s_first = F22(int(sig(1, 2)) ^ int(sig(3, 4)))
+        s_first = sig(1, 2) ^ sig(3, 4)
         expect_agree = _TABLE1_AGREE[s_first]
         for gi, (ea, eb, ca, cb) in enumerate(groups):
-            pair_sum = F22(int(sig(*ea)) ^ int(sig(*eb)))
+            pair_sum = sig(*ea) ^ sig(*eb)
             agree = pair_sum in (circle_signs[ca], circle_signs[cb])
             if agree is not expect_agree[gi]:
                 report.add_violation(
                     {"index": index, "group": gi + 1, "detail": "agree label off-table"}
                 )
             group_signs = sorted(
-                F22(int(circle_signs[c]) ^ int(sig(*e)))
-                for c in (ca, cb)
-                for e in (ea, eb)
+                circle_signs[c] ^ sig(*e) for c in (ca, cb) for e in (ea, eb)
             )
             if agree:
                 ok = len(set(group_signs)) == 4
@@ -485,7 +496,7 @@ def _verify_table1(scope: Scope, report: VerificationReport, jobs: int) -> None:
             if not ok:
                 report.add_violation(
                     {"index": index, "group": gi + 1,
-                     "signs": [str(s) for s in group_signs],
+                     "signs": [str(ELEMENTS[s]) for s in group_signs],
                      "detail": "dichotomy broken"}
                 )
 
@@ -585,24 +596,7 @@ def _verify_case_alpha_forest(scope: Scope, report: VerificationReport, jobs: in
         m = len(fe)
         lut = np.zeros(m ** 4, dtype=bool)
         for key in range(m ** 4):
-            quad_edges = [fe[(key // m**p) % m] for p in range(4)]
-            parent: dict[int, int] = {}
-
-            def find(x: int) -> int:
-                parent.setdefault(x, x)
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            ok = True
-            for u, v in quad_edges:
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    ok = False
-                    break
-                parent[ru] = rv
-            lut[key] = ok
+            lut[key] = is_forest([fe[(key // m**p) % m] for p in range(4)])
         f = sw.first_edge.astype(np.int64)
         keys = f[:, 0] + m * f[:, 1] + m * m * f[:, 2] + m ** 3 * f[:, 3]
         good = lut[keys]
@@ -718,9 +712,8 @@ def verify(
             raise ValueError(
                 f"domain of {size} exceeds the cap {MAX_EXHAUSTIVE}; pass force=True"
             )
-        if lemma_id in _NEEDS_N6 and scope.n < 6:
-            raise ValueError(f"{lemma_id} is a statement about n > 5")
-    if isinstance(scope, RandomScope) and lemma_id in _NEEDS_N6 and scope.n < 6:
+    # every scope these claims allow has an n
+    if lemma_id in _NEEDS_N6 and scope.n < 6:
         raise ValueError(f"{lemma_id} is a statement about n > 5")
 
     report = VerificationReport(lemma_id, scope.describe(), 0)

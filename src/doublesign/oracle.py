@@ -90,21 +90,21 @@ def hamiltonian_spectrum(
         raise ValueError("need n >= 3 for Hamiltonian circles")
     _check_bound(g.n, bound)
     n = g.n
-    s = g._signs
+    rows = g.rows
     counts = [0, 0, 0, 0]
     wit: dict[int, tuple[int, ...]] = {}
     for second in range(2, n + 1):
         rest = [v for v in range(2, n + 1) if v != second]
-        first_edge = s[edge_index(n, 1, second)]
+        first_edge = rows[1][second]
         for perm in permutations(rest):
             if second > perm[-1]:
                 continue
             acc = first_edge
             prev = second
             for v in perm:
-                acc ^= s[edge_index(n, prev, v)]
+                acc ^= rows[prev][v]
                 prev = v
-            acc ^= s[edge_index(n, prev, 1)]
+            acc ^= rows[prev][1]
             counts[acc] += 1
             if witnesses and acc not in wit:
                 wit[acc] = (1, second) + perm
@@ -119,18 +119,16 @@ def hamiltonian_paths_spectrum(
     g: SignedCompleteGraph, start: int, *, bound: int = ENUMERATION_BOUND
 ) -> tuple[F22, ...]:
     """Sorted label multiset of all (n-1)! Hamiltonian paths from ``start``."""
-    if start < 1 or start > g.n:
-        raise ValueError(f"start vertex {start} out of range")
+    g.check_vertices(start)
     _check_bound(g.n, bound)
-    n = g.n
-    s = g._signs
+    rows = g.rows
     rest = [v for v in g.vertices() if v != start]
     out = []
     for perm in permutations(rest):
         acc = 0
         prev = start
         for v in perm:
-            acc ^= s[edge_index(n, prev, v)]
+            acc ^= rows[prev][v]
             prev = v
         out.append(F22(acc))
     out.sort()
@@ -168,14 +166,14 @@ def k4_path_report(g: SignedCompleteGraph) -> PathMultisetReport:
     """Enumerate the 12 Hamiltonian paths of a K4 and aggregate labels."""
     if g.n != 4:
         raise ValueError(f"path report is defined for n=4 only, got n={g.n}")
-    s = g._signs
+    rows = g.rows
     paths: list[tuple[tuple[int, ...], int]] = []
     for perm in permutations((1, 2, 3, 4)):
         if perm[0] > perm[-1]:
             continue
         acc = 0
         for i in range(3):
-            acc ^= s[edge_index(4, perm[i], perm[i + 1])]
+            acc ^= rows[perm[i]][perm[i + 1]]
         paths.append((perm, acc))
 
     per_start: dict[int, list[F22]] = {i: [] for i in (1, 2, 3, 4)}

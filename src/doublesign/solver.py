@@ -55,12 +55,10 @@ from .graph import (
     SignedCompleteGraph,
     Triangle,
     circle_symmetric_difference,
-    edge_index,
-    triangle_sign,
     walk_sign,
 )
 from .group import ELEMENTS, F22
-from .switching import normalize_at
+from .switching import normalize_at, require_normalized
 
 
 class RestrictedSpectrumError(Exception):
@@ -236,18 +234,18 @@ def _chained_triple_moves(
     anything.  The admissible assignments fall into two label patterns,
     and in each some frame works.
     """
-    sign = gn.sign
+    r = gn.rows
     frame = None
     for v1, v2, v3, v4 in permutations(sorted(quad)):
-        x = int(triangle_sign(gn, (v1, v2, v3)))
-        y = int(triangle_sign(gn, (v1, v3, v4)))
+        x = r[v1][v2] ^ r[v1][v3] ^ r[v2][v3]
+        y = r[v1][v3] ^ r[v1][v4] ^ r[v3][v4]
         if x == y:
             continue
         moves_arith = {
-            x ^ int(sign(v1, v4)),
-            y ^ int(sign(v3, v4)),
-            y ^ int(sign(v1, v3)),
-            y ^ int(sign(v1, v2)),
+            x ^ r[v1][v4],
+            y ^ r[v3][v4],
+            y ^ r[v1][v3],
+            y ^ r[v1][v2],
         }
         if len(moves_arith) == 4:
             frame = (v1, v2, v3, v4)
@@ -255,7 +253,7 @@ def _chained_triple_moves(
     if frame is None:
         raise _CaseFailed(f"{trace}: no frame yields four distinct labels")
     v1, v2, v3, v4 = frame
-    z = int(sign(v1, v4))
+    z = r[v1][v4]
     rest = sorted(set(gn.vertices()) - {v1, v2, v3, v4, v5})
     h1 = Circle((v4, v1, v3, v2, *rest))
     h2 = Circle((v4, v3, v1, v2, *rest))
@@ -265,8 +263,7 @@ def _chained_triple_moves(
         _insert(gn, h2, v5, v3, v1),
         _insert(gn, h2, v5, v2, v1),
     ]
-    k4_edges = [sign(a, b) for a, b in combinations(frame, 2)]
-    z_count = sum(1 for s in k4_edges if int(s) == z)
+    z_count = sum(1 for a, b in combinations(frame, 2) if r[a][b] == z)
     panel = {3: "left_panel", 4: "right_panel"}.get(z_count, "atypical_panel")
     return _witness_set(g, moves, f"{trace}/{panel}")
 
@@ -284,22 +281,23 @@ def _shared_edge_moves(
     """
     i, j, k, m, p = cfg
     gn, _ = normalize_at(g, m)
-    x = int(triangle_sign(gn, (hub, i, j)))
-    y = int(triangle_sign(gn, (hub, j, k)))
-    z = int(gn.sign(hub, p))
+    r = gn.rows
+    x = r[hub][i] ^ r[hub][j] ^ r[i][j]
+    y = r[hub][j] ^ r[hub][k] ^ r[j][k]
+    z = r[hub][p]
     if len({x, y, z}) != 3:
         raise _CaseFailed("shared-edge frame labels not distinct")
 
     quad = (hub, i, j, k)
-    if any(int(gn.sign(a, b)) == z for a, b in combinations(quad, 2)):
+    if any(r[a][b] == z for a, b in combinations(quad, 2)):
         # Subcase 1: the K4 picked up a third-label edge, so a
         # chained-triple frame exists inside it.
         return _chained_triple_moves(g, gn, quad, m, "lemma_b/case2/subcase1")
 
     # Subcase 2: K4 edges all carry the two triangle labels.
     v1, v2, v3, v4, v5, v6 = hub, i, j, k, m, p
-    alpha = int(triangle_sign(gn, (v1, v2, v4)))
-    beta = int(triangle_sign(gn, (v2, v3, v4)))
+    alpha = r[v1][v2] ^ r[v1][v4] ^ r[v2][v4]
+    beta = r[v2][v3] ^ r[v2][v4] ^ r[v3][v4]
     if {alpha, beta} != {x, y}:
         raise _CaseFailed("subcase 2 triangle labels off-pattern")
     rest7 = sorted(set(g.vertices()) - {v1, v2, v3, v4, v5, v6})
@@ -312,8 +310,7 @@ def _shared_edge_moves(
         _insert(gn, h2, v5, v2, v4),
     ]
     def edge_class(u: int, v: int) -> str:
-        s = int(gn.sign(u, v))
-        return "a" if s == alpha else "b" if s == beta else "?"
+        return "a" if r[u][v] == alpha else "b" if r[u][v] == beta else "?"
 
     pattern = tuple(
         edge_class(u, v)
@@ -360,11 +357,7 @@ def build_from_four_sign_path(
     replaces s by two identity labels, so the four splices across one edge
     per label realize the full label set.
     """
-    n = g.n
-    s = g._signs
-    for v in g.vertices():
-        if v != hub and s[edge_index(n, hub, v)] != 0:
-            raise ValueError(f"graph is not normalized at {hub}")
+    require_normalized(g, hub)
     if hub in p.vertices:
         raise ValueError("path must avoid the hub")
     path_signs = {g.sign(u, v) for u, v in p.edges()}
@@ -372,16 +365,12 @@ def build_from_four_sign_path(
         raise ValueError(f"path edges carry {sorted(path_signs)}, need all four labels")
     missing = sorted(set(g.vertices()) - {hub} - set(p.vertices))
     ring = Circle(p.vertices + tuple(missing))
-    per_sign: dict[F22, tuple[int, int]] = {}
+    r = g.rows
+    per_sign: dict[int, tuple[int, int]] = {}
     for u, v in ring.edges():
         e = (min(u, v), max(u, v))
-        sign = g.sign(*e)
-        if sign not in per_sign or e < per_sign[sign]:
-            per_sign[sign] = e
-    if len(per_sign) != 4:
-        raise CounterexampleCandidateError(
-            f"closed extension of {p} lost labels: only {sorted(per_sign)}"
-        )
+        if r[u][v] not in per_sign or e < per_sign[r[u][v]]:
+            per_sign[r[u][v]] = e
     circles = [
         circle_symmetric_difference(g, ring, Triangle.of(hub, *per_sign[sign]))
         for sign in ELEMENTS
@@ -408,7 +397,7 @@ def _assemble_four_sign_path(
     sign_of = {e: s for s, e in edges.items()}
 
     def oriented_pair(l1: int, l2: int, s1: F22, s2: F22) -> list[int]:
-        between = gn.sign(l1, l2)
+        between = gn.rows[l1][l2]
         if between == s1:
             return [l1, l2]
         if between == s2:
@@ -487,12 +476,9 @@ def _construct_case_alpha(g: SignedCompleteGraph) -> WitnessSet:
     except (ValueError, TheoryViolationError) as exc:
         raise _CaseFailed(f"case alpha structure: {exc}") from None
     path = _assemble_four_sign_path(gn, hub, structure)
-    sign_set = {gn.sign(u, v) for u, v in path.edges()}
-    if len(sign_set) != 4:
-        raise _CaseFailed(f"assembled path carries only {sorted(sign_set)}")
     try:
         ws = build_from_four_sign_path(gn, path, hub)
-    except CounterexampleCandidateError as exc:
+    except (ValueError, CounterexampleCandidateError) as exc:
         raise _CaseFailed(str(exc)) from None
     return _witness_set(
         g, [c for c, _ in ws.witnesses], f"lemma_c/case_alpha/case{structure.case}"
@@ -505,18 +491,13 @@ def _construct_case_alpha(g: SignedCompleteGraph) -> WitnessSet:
 
 def _k4_paths_by_sign(
     gn: SignedCompleteGraph, quad: Sequence[int], start: int
-) -> dict[F22, tuple[int, ...]]:
+) -> dict[int, tuple[int, ...]]:
     """Least Hamiltonian path of the induced K4 from ``start`` per label."""
     others = sorted(v for v in quad if v != start)
-    out: dict[F22, tuple[int, ...]] = {}
-    for perm in permutations(others):
-        sign = F22(
-            int(gn.sign(start, perm[0]))
-            ^ int(gn.sign(perm[0], perm[1]))
-            ^ int(gn.sign(perm[1], perm[2]))
-        )
-        if sign not in out:
-            out[sign] = (start,) + perm
+    r = gn.rows
+    out: dict[int, tuple[int, ...]] = {}
+    for a, b, c in permutations(others):
+        out.setdefault(r[start][a] ^ r[a][b] ^ r[b][c], (start, a, b, c))
     return out
 
 
@@ -585,7 +566,7 @@ def _case_beta_two_anchor(
         (
             (qa, qb)
             for qa, qb in combinations(sorted(quad), 2)
-            if gn.sign(qa, v6) != gn.sign(qb, v6)
+            if gn.rows[qa][v6] != gn.rows[qb][v6]
         ),
         None,
     )
@@ -640,10 +621,9 @@ def _case_beta_constant_bridges(
     v6, v7 = outside[0], outside[1]
     mid = sorted(set(outside) - {v6, v7})
     anchor = max(quad)
-    chosen: dict[F22, tuple[int, int]] = {}
-    for e in quad_edges:
-        s = gn.sign(*e)
-        chosen.setdefault(s, e)
+    chosen: dict[int, tuple[int, int]] = {}
+    for u, v in quad_edges:
+        chosen.setdefault(gn.rows[u][v], (u, v))
     if len(chosen) != 4:
         raise _CaseFailed(f"K4 edges realize only {sorted(chosen)}")
     circles = []
@@ -676,7 +656,7 @@ def _construct_case_beta(g: SignedCompleteGraph, quad: tuple[int, ...]) -> Witne
     gn, _ = normalize_at(g, v5)
     k4class = classify_k4(gn, quad)
     for v6 in outside[1:]:
-        if len({gn.sign(u, v6) for u in quad}) > 1:
+        if len({gn.rows[u][v6] for u in quad}) > 1:
             return _case_beta_two_anchor(g, gn, quad, v5, v6)
     return _case_beta_constant_bridges(g, gn, quad, v5, k4class)
 

@@ -10,10 +10,10 @@ used to span with the normalized vertex.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .graph import SignedCompleteGraph, all_edges, edge_index
-from .group import F22
+from .graph import SignedCompleteGraph, all_edges
+from .group import ELEMENTS, F22
 
 SwitchingFunction = Mapping[int, F22]
 
@@ -29,11 +29,15 @@ def apply(g: SignedCompleteGraph, zeta: SwitchingFunction) -> SignedCompleteGrap
     z = [0] * (g.n + 1)
     for v in g.vertices():
         z[v] = int(F22(zeta[v]))
-    old = g._signs
-    buf = bytearray(len(old))
-    for idx, (u, v) in enumerate(all_edges(g.n)):
-        buf[idx] = z[u] ^ old[idx] ^ z[v]
-    return SignedCompleteGraph(g.n, bytes(buf))
+    return _switch(g, z)
+
+
+def _switch(g: SignedCompleteGraph, z: Sequence[int]) -> SignedCompleteGraph:
+    """``apply`` with the switching as ints indexed by vertex."""
+    rows = g.rows
+    return SignedCompleteGraph(
+        g.n, bytes(z[u] ^ rows[u][v] ^ z[v] for u, v in all_edges(g.n))
+    )
 
 
 def normalize_at(
@@ -46,10 +50,13 @@ def normalize_at(
     used.  Idempotent at the same vertex; all circle and triangle labels
     are preserved.
     """
-    if v < 1 or v > g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    zeta = {
-        u: (F22.E if u == v else F22(g._signs[edge_index(g.n, u, v)]))
-        for u in g.vertices()
-    }
-    return apply(g, zeta), zeta
+    g.check_vertices(v)
+    row = g.rows[v]  # row[v] is the diagonal, 0: the identity at v itself
+    return _switch(g, row), {u: ELEMENTS[row[u]] for u in g.vertices()}
+
+
+def require_normalized(g: SignedCompleteGraph, hub: int) -> None:
+    """Raise ``ValueError`` unless every edge at ``hub`` carries the identity."""
+    g.check_vertices(hub)
+    if any(g.rows[hub]):
+        raise ValueError(f"graph is not normalized at {hub}")

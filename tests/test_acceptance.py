@@ -148,6 +148,7 @@ def test_criterion_4_solver_complete_over_n6_sweep():
             mask_parts.extend(masks)
     witness_masks = np.array(mask_parts, dtype=np.uint8)
     assert failures == 0, f"{failures} instances failed construction/verification"
+    assert fallbacks == 0, f"{fallbacks} instances fell back to the bounded search"
     assert len(witness_masks) == len(indices)
 
     # seeded subsample: witness label sets equal the oracle spectra exactly
@@ -199,6 +200,7 @@ def test_criterion_5_randomized_suite_n7():
             fallbacks += nb
             solved += ns
     assert failures == 0
+    assert fallbacks == 0, f"{fallbacks} instances fell back to the bounded search"
     assert solved == len(solver_seeds)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"n=7 suite took {elapsed:.1f}s (budget 300s)"

@@ -1,0 +1,15 @@
+"""Every demo script runs to completion in-process, so the test
+configuration's warnings-as-errors filter applies to it too."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(script, capsys):
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out

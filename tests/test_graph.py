@@ -6,6 +6,7 @@ from doublesign import (
     Circle,
     F22,
     Path,
+    SignedCompleteGraph,
     Triangle,
     build,
     circle_symmetric_difference,
@@ -135,3 +136,38 @@ def test_insertion_shifts_sign_by_the_triangle(gc, pick):
     out = circle_symmetric_difference(g, h, t)
     assert len(out) == len(h) + 1
     assert walk_sign(g, out) == walk_sign(g, h) ^ triangle_sign(g, t)
+
+
+@st.composite
+def any_graph(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    m = n * (n - 1) // 2
+    return SignedCompleteGraph.from_signs(
+        n, draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    )
+
+
+@given(any_graph())
+@settings(max_examples=60, deadline=None)
+def test_row_table_is_symmetric_and_matches_sign(g):
+    rows = g.rows
+    for u in g.vertices():
+        assert rows[u][u] == 0
+        for v in g.vertices():
+            if u != v:
+                assert rows[u][v] == rows[v][u] == g.sign(u, v)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 7])
+def test_single_label_readers_reject_out_of_range_vertices(bad):
+    g = gen_random(6, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        g.sign(bad, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        g.sign(2, bad)
+    with pytest.raises(ValueError, match="out of range"):
+        walk_sign(g, Circle((1, 2, bad)))
+    with pytest.raises(ValueError, match="out of range"):
+        walk_sign(g, Path((bad, 3)))
+    with pytest.raises(ValueError, match="out of range"):
+        triangle_sign(g, (1, bad, 3))

@@ -48,9 +48,18 @@ def test_parse_scope_forms():
         ("lemma1", "exhaustive_normalized:-1", 2),
         ("lemma1", "exhaustive_normalized:2", 2),
         ("lemma1", "random:3:5", 0),  # no K4 at n = 3, so nothing to violate
+        # scope objects handed to verify directly, past the scope parser
+        pytest.param("lemma1", lambda: ExhaustiveNormalized(2), 2,
+                     id="lemma1-ExhaustiveNormalized(2)-2"),
+        pytest.param("lemma1", lambda: RandomScope(6, -3, 0), 2,
+                     id="lemma1-RandomScope(6,-3,0)-2"),
     ],
 )
 def test_degenerate_scopes_are_usage_errors_or_pass(lemma, scope, code, capsys):
+    if callable(scope):
+        with pytest.raises(ValueError, match="must be at least"):
+            verify(lemma, scope())
+        return
     assert main(["verify", "--lemma", lemma, "--scope", scope]) == code
     if code == 2:
         assert repr(scope) in capsys.readouterr().err
