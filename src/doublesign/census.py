@@ -79,7 +79,7 @@ def triangle_census(g: SignedCompleteGraph) -> TriangleCensus:
         raise ValueError("need n >= 3 for a triangle census")
     s = g._signs
     labels = [s[i] ^ s[j] ^ s[k] for _, (i, j, k) in triangle_table(g.n)]
-    return TriangleCensus({s: labels.count(s) for s in ELEMENTS}, labels)
+    return TriangleCensus({F22(i): labels.count(i) for i in range(4)}, labels)
 
 
 def k4_label_counts(
@@ -232,7 +232,7 @@ def find_shared_edge_config(
     searched with j outermost, or None.
     """
     others, tri = _hub_triangles(g, hub)
-    all3 = set(signs3)
+    all3 = {int(v) for v in signs3}
     for j in others:
         for i in others:
             if i == j:

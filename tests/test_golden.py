@@ -4,9 +4,8 @@ Each entry is a name and the SHA-256 prefix of a canonical JSON rendering
 of one output: a witness set (trace, circles, labels) or the refusal
 text of ``construct_witnesses``, a witness set of the shared-edge moves,
 an oracle spectrum with witnesses, a claim report without its timing, or
-one array of the n = 6 sweep.  A
-refactor passes only if every entry comes out unchanged; a mismatch names
-the first entry that differs.
+one array of the n = 6 sweep.  A refactor passes only if every entry
+comes out unchanged; a mismatch names the first entry that differs.
 
 After an intended change of output, regenerate the data file with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
