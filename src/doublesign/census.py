@@ -6,26 +6,26 @@ achievable Hamiltonian spectrum, so this module also classifies K4
 subgraphs (all four triangle labels distinct, or the paired pattern) and
 locates the edge/triangle configurations the constructive machinery
 starts from.  It is the one module that reads triangle and K4 labels off
-a graph: the solver and the claim checks call these finders instead of
-scanning the sign array themselves.  Everything here is read-only over
-immutable graphs.
+a graph, from its row table ``rows`` alone, and scans K4s lazily: the
+solver and the claim checks call these readers instead of scanning
+labels themselves.  Everything here is read-only over immutable graphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graph import SignedCompleteGraph, all_edges, edge_index, triangle_sign
+from .graph import SignedCompleteGraph, all_edges, edge_index
 from .group import ELEMENTS, F22
 from .switching import require_normalized
 
 
 @lru_cache(maxsize=None)
 def triangle_table(n: int) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]:
-    """All vertex triples of K_n with their three edge indexes, cached."""
+    """All vertex triples of K_n with their edge indexes: the sweep's triangle columns."""
     out = []
     for a, b, c in combinations(range(1, n + 1), 3):
         out.append(
@@ -39,7 +39,7 @@ def triangle_table(n: int) -> tuple[tuple[tuple[int, int, int], tuple[int, int, 
 
 @lru_cache(maxsize=None)
 def quad_table(n: int) -> tuple[tuple[tuple[int, int, int, int], tuple[int, int, int, int]], ...]:
-    """All 4-subsets of vertices with the rows of their four triangles."""
+    """All 4-subsets with the triangle-table rows of their triangles: the sweep's K4 columns."""
     pos = {triple: i for i, (triple, _) in enumerate(triangle_table(n))}
     out = []
     for quad in combinations(range(1, n + 1), 4):
@@ -49,15 +49,9 @@ def quad_table(n: int) -> tuple[tuple[tuple[int, int, int, int], tuple[int, int,
 
 @dataclass(frozen=True)
 class TriangleCensus:
-    """Label counts over all C(n, 3) triangles of an instance.
-
-    ``labels`` keeps each triangle's label as a plain int, aligned with
-    :func:`triangle_table`, so K4 finders reuse the census pass instead of
-    reading the graph again; it takes no part in equality or repr.
-    """
+    """Label counts over all C(n, 3) triangles of an instance."""
 
     counts: dict[F22, int]
-    labels: Sequence[int] = field(default=(), compare=False, repr=False)
 
     @property
     def diversity(self) -> int:
@@ -77,27 +71,32 @@ def triangle_census(g: SignedCompleteGraph) -> TriangleCensus:
     """Exact triangle-label counts; requires n >= 3."""
     if g.n < 3:
         raise ValueError("need n >= 3 for a triangle census")
-    s = g._signs
-    labels = [s[i] ^ s[j] ^ s[k] for _, (i, j, k) in triangle_table(g.n)]
-    return TriangleCensus({F22(i): labels.count(i) for i in range(4)}, labels)
+    rows = g.rows
+    counts = [0, 0, 0, 0]
+    for a, b, c in combinations(g.vertices(), 3):
+        counts[rows[a][b] ^ rows[a][c] ^ rows[b][c]] += 1
+    return TriangleCensus(dict(zip(ELEMENTS, counts)))
 
 
-def k4_label_counts(
-    g: SignedCompleteGraph, census: TriangleCensus
-) -> Iterator[tuple[tuple[int, int, int, int], int]]:
+def _k4_labels(rows: Sequence[bytes], a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """Int labels of the triangles abc, abd, acd, bcd (``combinations`` order)."""
+    ra, rb = rows[a], rows[b]
+    ab, ac, ad, bc, bd, cd = ra[b], ra[c], ra[d], rb[c], rb[d], rows[c][d]
+    return ab ^ ac ^ bc, ab ^ ad ^ bd, ac ^ ad ^ cd, bc ^ bd ^ cd
+
+
+def k4_label_counts(g: SignedCompleteGraph) -> Iterator[tuple[tuple[int, int, int, int], int]]:
     """Each K4 of ``g`` with the number of distinct labels among its four
-    triangles, in :func:`quad_table` order; ``census`` must be ``g``'s."""
-    labels = census.labels
-    for quad, positions in quad_table(g.n):
-        yield quad, len({labels[p] for p in positions})
+    triangles, lazily, in ``combinations(g.vertices(), 4)`` order."""
+    rows = g.rows
+    for quad in combinations(g.vertices(), 4):
+        yield quad, len(set(_k4_labels(rows, *quad)))
 
 
-def first_all_distinct_k4(
-    g: SignedCompleteGraph, census: TriangleCensus
-) -> Optional[tuple[int, int, int, int]]:
-    """The first K4 in :func:`quad_table` order whose four triangle labels
-    are pairwise distinct, or None."""
-    return next((quad for quad, k in k4_label_counts(g, census) if k == 4), None)
+def first_all_distinct_k4(g: SignedCompleteGraph) -> Optional[tuple[int, int, int, int]]:
+    """The first K4 in :func:`k4_label_counts` order whose four triangle
+    labels are pairwise distinct, or None."""
+    return next((quad for quad, k in k4_label_counts(g) if k == 4), None)
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,6 @@ class K4Class:
     def is_all_distinct(self) -> bool:
         return self.kind == "all_distinct"
 
-    @property
-    def has_common_triple(self) -> bool:
-        return self.common_triple is not None
-
 
 def _find_common_triple(
     g: SignedCompleteGraph, quad: Sequence[int]
@@ -160,16 +155,15 @@ def classify_k4(g: SignedCompleteGraph, quad: Sequence[int]) -> K4Class:
     vs = tuple(sorted(int(v) for v in quad))
     if len(set(vs)) != 4:
         raise ValueError(f"need four distinct vertices, got {quad}")
-    tris = tuple(triangle_sign(g, t) for t in combinations(vs, 3))
-    if len(set(tris)) == 4:
+    g.check_vertices(*vs)
+    labels = _k4_labels(g.rows, *vs)
+    tris = tuple(ELEMENTS[t] for t in labels)
+    distinct = sorted(set(labels))
+    if len(distinct) == 4:
         return K4Class(vs, tris, "all_distinct", common_triple=_find_common_triple(g, vs))
     # The four labels always sum to the identity (every edge is counted
     # twice), so short of being all distinct they pair up as x, x, y, y.
-    ordered = sorted(set(tris))
-    if len(ordered) == 1:
-        pair = (ordered[0], ordered[0])
-    else:
-        pair = (ordered[0], ordered[1])
+    pair = (ELEMENTS[distinct[0]], ELEMENTS[distinct[-1]])
     return K4Class(vs, tris, "two_two", pair=pair)
 
 

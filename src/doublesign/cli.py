@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -80,10 +81,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     g = _load_instance(args)
     census = triangle_census(g)
-    quads = list(combinations(range(1, g.n + 1), 4))
     all_distinct = 0
     with_triple = {"star": 0, "triangle": 0}
-    for q in quads:
+    for q in combinations(g.vertices(), 4):
         k = classify_k4(g, q)
         if k.is_all_distinct:
             all_distinct += 1
@@ -94,7 +94,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         "diversity": census.diversity,
         "triangle_counts": {s.render(): census.counts[s] for s in ELEMENTS},
         "k4": {
-            "total": len(quads),
+            "total": math.comb(g.n, 4),
             "all_distinct": all_distinct,
             "common_triple_star": with_triple["star"],
             "common_triple_triangle": with_triple["triangle"],

@@ -61,6 +61,9 @@ class SignedCompleteGraph:
             raise ValueError("need at least 2 vertices")
         if len(signs) != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} signs, got {len(signs)}")
+        bad = signs.translate(None, b"\x00\x01\x02\x03")  # the bytes that are no label
+        if bad:
+            raise ValueError(f"edge label {bad[0]} outside 0..3")
         self.n = n
         self._signs = signs
         self.rows = _row_table(n, signs)
@@ -85,7 +88,7 @@ class SignedCompleteGraph:
     def edges(self) -> Iterator[tuple[int, int, F22]]:
         """All edges with their labels, in index order."""
         for (u, v), s in zip(all_edges(self.n), self._signs):
-            yield u, v, F22(s)
+            yield u, v, ELEMENTS[s]
 
     def vertices(self) -> range:
         return range(1, self.n + 1)

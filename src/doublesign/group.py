@@ -25,7 +25,10 @@ class F22(IntEnum):
     C = 3
 
     def __xor__(self, other: int) -> "F22":
-        return F22(int(self) ^ int(other))
+        x = int(self) ^ int(other)
+        if not 0 <= x <= 3:
+            raise ValueError(f"{x} is not a valid F22")
+        return ELEMENTS[x]
 
     __rxor__ = __xor__
 

@@ -224,8 +224,8 @@ def _canonical_sigma4star(g: SignedCompleteGraph) -> Optional[list[int]]:
     the identity and the triangles omitting v4, v3, v2 carry a, b, c —
     the frame used by the K4 path analysis.  None if not all-distinct.
     """
-    # Census labels follow triangle_table: 123, 124, 134, 234.
-    omitted = dict(zip(triangle_census(g).labels, (4, 3, 2, 1)))
+    # Triangle labels in combinations order: 123, 124, 134, 234.
+    omitted = dict(zip(classify_k4(g, (1, 2, 3, 4)).triangle_signs, (4, 3, 2, 1)))
     if len(omitted) != 4:
         return None
     return [omitted[F22.E], omitted[F22.C], omitted[F22.B], omitted[F22.A]]
@@ -260,9 +260,8 @@ def _verify_lemma1(scope: Scope, report: VerificationReport, jobs: int) -> None:
         return
     for key, g in _graph_instances(scope):
         report.scanned += 1
-        census = triangle_census(g)
-        div = census.diversity
-        worst = max((k for _, k in k4_label_counts(g, census)), default=0)
+        div = triangle_census(g).diversity
+        worst = max((k for _, k in k4_label_counts(g)), default=0)
         if worst == 3:
             report.add_violation({"instance": key, "detail": "K4 with exactly 3 labels"})
         if div <= 3 and worst > 2:
@@ -327,7 +326,7 @@ def _spectrum_bound_violations(scope: Scope, report: VerificationReport, jobs: i
     for key, g in _graph_instances(scope):
         report.scanned += 1
         census = triangle_census(g)
-        if not covers(census.diversity, first_all_distinct_k4(g, census) is not None):
+        if not covers(census.diversity, first_all_distinct_k4(g) is not None):
             continue
         tri_mask = np.array([sum(1 << s for s in census.signs)], dtype=np.uint8)
         allowed = int(sweep_mod.allowed_spectrum_mask(tri_mask, g.n)[0])
@@ -410,16 +409,11 @@ def _verify_lemma14(scope: Scope, report: VerificationReport, jobs: int) -> None
     they pair up as x, x, y, y."""
     for index, g in _k4_domain():
         report.scanned += 1
-        tris = triangle_census(g).labels
-        total = 0
-        for t in tris:
-            total ^= t
-        if total:
+        tris = classify_k4(g, (1, 2, 3, 4)).triangle_signs
+        if tris[0] ^ tris[1] ^ tris[2] ^ tris[3]:
             report.add_violation({"index": index, "detail": "triangle labels do not sum to e"})
-        if len(set(tris)) == 4:
-            continue
         counts = sorted(tris.count(v) for v in set(tris))
-        if counts not in ([4], [2, 2]):
+        if counts not in ([1, 1, 1, 1], [4], [2, 2]):
             report.add_violation({"index": index, "detail": f"pattern {counts} not x,x,y,y"})
 
 
@@ -606,8 +600,7 @@ def _verify_case_alpha_forest(scope: Scope, report: VerificationReport, jobs: in
         return
     for key, g in _graph_instances(scope):
         report.scanned += 1
-        census = triangle_census(g)
-        if census.diversity != 4 or first_all_distinct_k4(g, census) is not None:
+        if triangle_census(g).diversity != 4 or first_all_distinct_k4(g) is not None:
             continue
         report.stats["qualifying"] = report.stats.get("qualifying", 0) + 1
         gn, _ = normalize_at(g, 1)

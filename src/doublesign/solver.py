@@ -23,12 +23,12 @@ machine:
 
 The structures each branch starts from (chained or shared-edge hub
 triangles, the first all-distinct K4) come from :mod:`census`, the one
-module that reads triangle and K4 labels off a graph; a call makes one
-triangle-label pass and hands its labels to the K4 finder.  Nothing the
-case machine produces is trusted: every witness set is re-verified
-structurally (Hamiltonicity, recomputed labels, distinctness) before
-being returned, and any branch that fails to apply falls back to a
-bounded verified search.
+module that reads triangle and K4 labels off a graph's row table; a call
+makes one census pass and builds no table of all triangles or K4s.
+Nothing the case machine produces is trusted: every witness set is
+re-verified structurally (Hamiltonicity, recomputed labels,
+distinctness) before being returned, and any branch that fails to apply
+falls back to a bounded verified search.
 """
 
 from __future__ import annotations
@@ -725,7 +725,7 @@ def construct_witnesses(g: SignedCompleteGraph) -> WitnessSet:
         if div == 3:
             ws = _construct_diversity3(g, sorted(census.signs))
         else:
-            quad = first_all_distinct_k4(g, census)
+            quad = first_all_distinct_k4(g)
             if quad is None:
                 ws = _construct_case_alpha(g)
             else:

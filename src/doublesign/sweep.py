@@ -115,7 +115,8 @@ def _sweep_range(n: int, start: int, stop: int) -> NormalizedSweep:
     )
 
 
-_SWEEP_CACHE: dict[tuple[int, int, int], NormalizedSweep] = {}
+#: Whole families of at most 4^10 rows, by n; sub-ranges are never kept.
+_SWEEP_CACHE: dict[int, NormalizedSweep] = {}
 
 #: Rows per sweep chunk: bounds the working arrays of one chunk and is the
 #: unit of work handed to each worker process.
@@ -133,17 +134,17 @@ def run_normalized_sweep(
 
     The range is processed in chunks of :data:`_CHUNK` rows, by worker
     processes when ``jobs > 1``, and the results concatenated in index
-    order; the output is identical to a single-worker run, so results are
-    cached per range.
+    order; the output is identical to a single-worker run, so whole
+    families of at most 4^10 rows are cached.
     """
     total = normalized_domain_size(n)
     if stop is None:
         stop = total
     if not (0 <= start <= stop <= total):
         raise ValueError(f"bad range [{start}, {stop}) for domain of {total}")
-    cached = _SWEEP_CACHE.get((n, start, stop))
-    if cached is not None:
-        return cached
+    whole = start == 0 and stop == total and total <= 4 ** 10
+    if whole and n in _SWEEP_CACHE:
+        return _SWEEP_CACHE[n]
     ranges = [(s, min(s + _CHUNK, stop)) for s in range(start, stop, _CHUNK)]
     if not ranges:
         ranges = [(start, stop)]
@@ -159,8 +160,8 @@ def run_normalized_sweep(
         if f.name not in ("n", "start", "size")
     }
     result = NormalizedSweep(n=n, start=start, size=stop - start, **arrays)
-    if stop - start <= 4 ** 10:
-        _SWEEP_CACHE[(n, start, stop)] = result
+    if whole:
+        _SWEEP_CACHE[n] = result
     return result
 
 

@@ -22,6 +22,14 @@ def test_build_identity_k3():
     assert triangle_sign(g, (1, 2, 3)) == F22.E
 
 
+@pytest.mark.parametrize("bad", [4, 255])
+def test_constructor_rejects_labels_outside_the_group(bad):
+    with pytest.raises(ValueError, match=f"edge label {bad} outside 0..3"):
+        SignedCompleteGraph(3, bytes([bad, 0, 0]))
+    with pytest.raises(ValueError, match=f"edge label {bad} outside 0..3"):
+        SignedCompleteGraph.from_signs(4, [0, 1, 2, 3, 0, bad])
+
+
 def test_build_rejects_duplicate_edge():
     with pytest.raises(ValueError, match="duplicate"):
         build(4, [(1, 2, F22.B), (2, 1, F22.B), (1, 3, F22.C), (1, 4, F22.A),

@@ -33,6 +33,14 @@ def test_xor_operator_matches_add_and_stays_typed():
         assert isinstance(x ^ y, F22)
 
 
+@pytest.mark.parametrize("other", [4, -1])
+def test_xor_rejects_results_outside_the_group(other):
+    with pytest.raises(ValueError, match="not a valid F22"):
+        F22.A ^ other
+    with pytest.raises(ValueError, match="not a valid F22"):
+        other ^ F22.A
+
+
 def test_fourth_element_examples():
     assert fourth_element(F22.E, F22.A, F22.B) == F22.C
     assert fourth_element(F22.A, F22.B, F22.C) == F22.E

@@ -139,6 +139,18 @@ class TestCli:
         assert spec["counts"] == {"e": 0, "a": 1, "b": 1, "c": 1}
         assert spec["witnesses"]["b"] == [1, 2, 3, 4]
 
+    def test_census_output_is_pinned(self, capsys):
+        assert main(["census", "--random", "9", "--seed", "2", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"n": 9, "diversity": 4, "triangle_counts": {"e": 15, "a": 19, "b": 22, '
+            '"c": 28}, "k4": {"total": 126, "all_distinct": 46, "common_triple_star": 4, '
+            '"common_triple_triangle": 6}}\n'
+        )
+        assert main(["census", "--random", "9", "--seed", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "k4: 46/126 all-distinct (4 star triples, 6 triangle triples)"
+        )
+
     def test_construct_refusal_exit_code(self, tmp_path):
         path = tmp_path / "g.txt"
         main(["gen", "--named", "identity(6)", "--out", str(path)])

@@ -132,6 +132,7 @@ def test_spectrum_invariance_under_switching_and_relabeling():
 
 def test_vectorized_sweep_matches_scalar_oracle():
     from doublesign import instance_from_index, triangle_census
+    from doublesign.census import first_all_distinct_k4
     from doublesign.sweep import run_normalized_sweep, signs_from_indices
 
     sw = run_normalized_sweep(5)
@@ -141,8 +142,22 @@ def test_vectorized_sweep_matches_scalar_oracle():
         c = triangle_census(g)
         assert sw.diversity[i] == c.diversity
         assert sw.tri_mask[i] == sum(1 << int(s) for s in c.signs)
+        assert sw.sigma4star[i] == (first_all_distinct_k4(g) is not None)
         spec = hamiltonian_spectrum(g)
         assert sw.spec_mask[i] == sum(1 << int(s) for s in spec.realized)
     rows = signs_from_indices(5, np.array([0, 17, 4095]))
     for row, idx in zip(rows, (0, 17, 4095)):
         assert bytes(row) == instance_from_index(5, idx)._signs
+
+
+def test_sweep_caches_whole_families_only():
+    from doublesign import sweep
+
+    whole = sweep.run_normalized_sweep(4)
+    assert sweep._SWEEP_CACHE[4] is whole
+    assert sweep.run_normalized_sweep(4, 0, 64) is whole
+    before = set(sweep._SWEEP_CACHE)
+    part = sweep.run_normalized_sweep(5, 16, 80)
+    assert set(sweep._SWEEP_CACHE) == before
+    assert sweep.run_normalized_sweep(5, 16, 80) is not part
+    assert (part.spec_mask == sweep.run_normalized_sweep(5).spec_mask[16:80]).all()

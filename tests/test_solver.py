@@ -122,20 +122,26 @@ def test_branch_fixtures_build_verified_full_sets(index, trace):
 @pytest.mark.parametrize(
     "g",
     [gen_random(6, 17), instance_from_index(6, 262), named_instance("identity(6)"),
-     gen_random(20, 3)],
-    ids=["n6-diversity4", "n6-diversity3", "n6-refused", "n20"],
+     gen_random(20, 3), gen_random(150, 1)],
+    ids=["n6-diversity4", "n6-diversity3", "n6-refused", "n20", "n150"],
 )
 def test_construction_makes_one_triangle_label_pass(g, monkeypatch):
-    from doublesign import census
+    # one census call, and no table of all triangles or K4s of K_n
+    from doublesign import census, solver
 
-    census.quad_table(g.n)  # a cold quad table reads triangle_table itself
+    def unused(n):
+        raise AssertionError(f"construction built a table for n={n}")
+
+    monkeypatch.setattr(census, "triangle_table", unused)
+    monkeypatch.setattr(census, "quad_table", unused)
     calls = []
-    table = census.triangle_table
-    monkeypatch.setattr(census, "triangle_table", lambda n: calls.append(n) or table(n))
+    monkeypatch.setattr(
+        solver, "triangle_census", lambda g: calls.append(g.n) or census.triangle_census(g)
+    )
     try:
-        construct_witnesses(g)
+        verify_witness_set(g, construct_witnesses(g))
     except RestrictedSpectrumError:
-        pass
+        assert triangle_census(g).diversity <= 2
     assert calls == [g.n]
 
 
