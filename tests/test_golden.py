@@ -4,7 +4,8 @@ Each entry is a name and the SHA-256 prefix of a canonical JSON rendering
 of one output: a witness set (trace, circles, labels) or the refusal
 text of ``construct_witnesses``, a witness set of the shared-edge moves,
 an oracle spectrum with witnesses, a claim report without its timing, or
-one array of the n = 6 sweep.  A refactor passes only if every entry
+one array of the n = 6 sweep, of two n = 7 sweep chunks or of a batch of
+random n = 7 rows.  A refactor passes only if every entry
 comes out unchanged; a mismatch names the first entry that differs.
 
 After an intended change of output, regenerate the data file with
@@ -32,7 +33,8 @@ from doublesign import (
     verify,
 )
 from doublesign.solver import _shared_edge_moves
-from doublesign.sweep import run_normalized_sweep
+from doublesign.io_gen import random_sign_matrix
+from doublesign.sweep import analyze_sign_matrix, run_normalized_sweep
 from conftest import graph_from
 from test_solver import (
     BRANCH_FIXTURES,
@@ -55,6 +57,11 @@ CLAIM_SCOPES = (
 SWEEP_ARRAYS = (
     "diversity", "tri_mask", "spec_mask", "sigma4star", "quad3", "edge_mask", "first_edge",
 )
+BATCH_ARRAYS = SWEEP_ARRAYS[:5]  # the fields of a BatchAnalysis
+
+#: The first 65,536-row chunk of the 4^15 n = 7 family and one from its middle.
+N7_CHUNKS = ((0, 1 << 16), (1 << 29, (1 << 29) + (1 << 16)))
+N7_RANDOM_SEEDS = range(700_000, 704_096)
 
 
 def _digest(payload) -> str:
@@ -127,15 +134,25 @@ def _claim_entries():
             yield f"{lemma}/{scope}", payload
 
 
+def _array_payload(arr: np.ndarray) -> dict:
+    return {
+        "dtype": str(arr.dtype),
+        "shape": list(arr.shape),
+        "sha256": hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(),
+    }
+
+
 def _sweep_entries():
     sw = run_normalized_sweep(6)
     for name in SWEEP_ARRAYS:
-        arr = getattr(sw, name)
-        yield name, {
-            "dtype": str(arr.dtype),
-            "shape": list(arr.shape),
-            "sha256": hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest(),
-        }
+        yield name, _array_payload(getattr(sw, name))
+    for start, stop in N7_CHUNKS:
+        sw = run_normalized_sweep(7, start, stop)
+        for name in SWEEP_ARRAYS:
+            yield f"n7/{start}/{name}", _array_payload(getattr(sw, name))
+    batch = analyze_sign_matrix(7, random_sign_matrix(7, N7_RANDOM_SEEDS))
+    for name in BATCH_ARRAYS:
+        yield f"random/7/{N7_RANDOM_SEEDS.start}/{name}", _array_payload(getattr(batch, name))
 
 
 SECTIONS = {
