@@ -11,6 +11,13 @@ labels some triangle realizes (``tri_mask``), which labels some
 Hamiltonian circle realizes (``spec_mask``), plus triangle diversity,
 whether any K4 has four distinct triangle labels, and where the first
 non-hub edge of each label sits.
+
+Callers pass one row per instance.  The kernel works column-major: each
+batch is transposed once into one contiguous uint8 row per edge, the
+triangle labels become a contiguous (triangles, rows) block of one-hot
+bits ``1 << label`` that the K4 stage reuses, and the circle and K4
+loops XOR and OR in place into preallocated buffers.  Every step then
+reads contiguous memory, and the loops allocate no temporary per step.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ POPCOUNT4 = np.array([bin(i).count("1") for i in range(16)], dtype=np.uint8)
 
 _ONE = np.uint8(1)
 
+#: 1 << popcount(mask) for a 4-bit label mask.
+_POPCOUNT_BIT = np.left_shift(_ONE, POPCOUNT4)
+
 
 @dataclass
 class BatchAnalysis:
@@ -42,37 +52,69 @@ class BatchAnalysis:
     quad3: np.ndarray  # some K4 has exactly three (provably impossible)
 
 
-def analyze_sign_matrix(n: int, signs: np.ndarray) -> BatchAnalysis:
-    """Analyze a (batch, n(n-1)/2) uint8 matrix of full sign arrays.
+def _edge_columns(n: int, signs: np.ndarray) -> np.ndarray:
+    """Check a (rows, n(n-1)/2) label matrix and transpose it once into the
+    working layout: one contiguous uint8 row of labels per edge."""
+    signs = np.asarray(signs)
+    width = n * (n - 1) // 2
+    if signs.ndim != 2 or signs.shape[1] != width:
+        raise ValueError(
+            f"expected a 2-D matrix with {width} label columns for n={n}, got shape {signs.shape}"
+        )
+    if not np.issubdtype(signs.dtype, np.integer):
+        raise ValueError(f"labels must be integers 0..3, got dtype {signs.dtype}")
+    if signs.size and (signs.min() < 0 or signs.max() > 3):
+        r, c = np.argwhere((signs < 0) | (signs > 3))[0]
+        raise ValueError(f"label {signs[r, c]} at row {r}, column {c} is outside 0..3")
+    return np.ascontiguousarray(signs.T, dtype=np.uint8)
 
-    Row i must be the triangular sign array of one instance; columns are
-    edge-index order.  Spectra enumerate all (n-1)!/2 circles.
-    """
-    rows = signs.shape[0]
-    tri_signs = np.empty((rows, len(triangle_table(n))), dtype=np.uint8)
-    for t, (_, (i, j, k)) in enumerate(triangle_table(n)):
-        tri_signs[:, t] = signs[:, i] ^ signs[:, j] ^ signs[:, k]
 
-    tri_mask = np.bitwise_or.reduce(np.left_shift(_ONE, tri_signs), axis=1)
+def _analyze_columns(n: int, cols: np.ndarray) -> BatchAnalysis:
+    """The batch facts from edge-major labels ``cols`` (edges, rows)."""
+    rows = cols.shape[1]
+    tris = triangle_table(n)
+    # One-hot label bit 1 << label per (triangle, row), shared by the K4 stage.
+    tri_bits = np.empty((len(tris), rows), dtype=np.uint8)
+    for t, (_, (i, j, k)) in enumerate(tris):
+        np.bitwise_xor(cols[i], cols[j], out=tri_bits[t])
+        tri_bits[t] ^= cols[k]
+    np.left_shift(_ONE, tri_bits, out=tri_bits)
+    tri_mask = np.bitwise_or.reduce(tri_bits, axis=0)
     diversity = POPCOUNT4[tri_mask]
 
     spec_mask = np.zeros(rows, dtype=np.uint8)
-    for idxs in circle_edge_indices(n):
-        acc = signs[:, idxs[0]].copy()
-        for e in idxs[1:]:
-            acc ^= signs[:, e]
-        spec_mask |= np.left_shift(_ONE, acc)
+    acc = np.empty(rows, dtype=np.uint8)
+    for first, second, *rest in circle_edge_indices(n):
+        np.bitwise_xor(cols[first], cols[second], out=acc)
+        for e in rest:
+            acc ^= cols[e]
+        np.left_shift(_ONE, acc, out=acc)
+        spec_mask |= acc
 
-    sigma4star = np.zeros(rows, dtype=bool)
-    quad3 = np.zeros(rows, dtype=bool)
-    for _, positions in quad_table(n):
-        qmask = np.left_shift(_ONE, tri_signs[:, positions[0]])
-        for p in positions[1:]:
-            qmask |= np.left_shift(_ONE, tri_signs[:, p])
-        pc = POPCOUNT4[qmask]
-        sigma4star |= pc == 4
-        quad3 |= pc == 3
+    # Bit p of ``seen`` is set when some K4 has p distinct triangle labels.
+    seen = np.zeros(rows, dtype=np.uint8)
+    qmask = np.empty(rows, dtype=np.uint8)
+    for _, (p, q, r, s) in quad_table(n):
+        np.bitwise_or(tri_bits[p], tri_bits[q], out=qmask)
+        qmask |= tri_bits[r]
+        qmask |= tri_bits[s]
+        np.take(_POPCOUNT_BIT, qmask, out=qmask)
+        seen |= qmask
+    sigma4star = (seen & (1 << 4)) != 0
+    quad3 = (seen & (1 << 3)) != 0
     return BatchAnalysis(n, diversity, tri_mask, spec_mask, sigma4star, quad3)
+
+
+def analyze_sign_matrix(n: int, signs: np.ndarray) -> BatchAnalysis:
+    """Analyze a (batch, n(n-1)/2) matrix of full sign arrays.
+
+    Row i must be the triangular sign array of one instance; columns are
+    edge-index order, labels integers in 0..3, and any memory layout is
+    accepted.  Spectra enumerate all (n-1)!/2 circles.  Raises
+    ``ValueError`` on a matrix of the wrong shape or on a label outside
+    0..3, naming its row and column.
+    """
+    return _analyze_columns(n, _edge_columns(n, signs))
 
 
 @dataclass
@@ -100,18 +142,19 @@ def signs_from_indices(n: int, indices: np.ndarray) -> np.ndarray:
 
 def _sweep_range(n: int, start: int, stop: int) -> NormalizedSweep:
     idx = np.arange(start, stop, dtype=np.int64)
-    signs = signs_from_indices(n, idx)
-    base = analyze_sign_matrix(n, signs)
+    cols = np.ascontiguousarray(signs_from_indices(n, idx).T)
+    base = _analyze_columns(n, cols)
 
-    fe = free_edges(n)
-    cols = np.array([edge_index(n, u, v) for u, v in fe])
-    free_signs = signs[:, cols]
-    edge_mask = np.bitwise_or.reduce(np.left_shift(_ONE, free_signs), axis=1)
-    first_edge = np.empty((len(idx), 4), dtype=np.uint8)
-    for s in range(4):
-        first_edge[:, s] = np.argmax(free_signs == s, axis=1)
+    free_bits = np.left_shift(_ONE, cols[[edge_index(n, u, v) for u, v in free_edges(n)]])
+    edge_mask = np.bitwise_or.reduce(free_bits, axis=0)
+    # Walk the free edges last to first, so each label ends at its first
+    # edge; a label that no free edge carries reads 0.
+    first_edge = np.zeros((4, len(idx)), dtype=np.uint8)
+    for k in range(len(free_bits) - 1, -1, -1):
+        for label in range(4):
+            np.copyto(first_edge[label], k, where=free_bits[k] == (1 << label))
     return NormalizedSweep(
-        **vars(base), start=start, size=stop - start, edge_mask=edge_mask, first_edge=first_edge
+        **vars(base), start=start, size=stop - start, edge_mask=edge_mask, first_edge=first_edge.T
     )
 
 

@@ -150,6 +150,78 @@ def test_vectorized_sweep_matches_scalar_oracle():
         assert bytes(row) == instance_from_index(5, idx)._signs
 
 
+@pytest.mark.parametrize("chunk", ["first", "seeded"])
+def test_n7_sweep_chunk_matches_scalar_oracle(chunk):
+    from doublesign import instance_from_index, triangle_census
+    from doublesign.census import first_all_distinct_k4
+    from doublesign.sweep import run_normalized_sweep
+
+    rng = np.random.default_rng(71)
+    start = 0 if chunk == "first" else int(rng.integers(1, 4 ** 15 >> 16)) << 16
+    sw = run_normalized_sweep(7, start, start + (1 << 16))
+    assert not sw.quad3.any()
+    # seeded rows from every (diversity, all-distinct K4) class in the chunk
+    rows = []
+    for d in range(1, 5):
+        for star in (False, True):
+            found = np.nonzero((sw.diversity == d) & (sw.sigma4star == star))[0]
+            rows += rng.choice(found, size=min(8, len(found)), replace=False).tolist()
+    assert len(rows) >= 16
+    for r in rows:
+        g = instance_from_index(7, start + r)
+        c = triangle_census(g)
+        assert sw.diversity[r] == c.diversity
+        assert sw.tri_mask[r] == sum(1 << int(s) for s in c.signs)
+        assert sw.sigma4star[r] == (first_all_distinct_k4(g) is not None)
+        spec = hamiltonian_spectrum(g)
+        assert sw.spec_mask[r] == sum(1 << int(s) for s in spec.realized)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "int64", "no_rows", "one_row"])
+def test_analyze_sign_matrix_is_layout_independent(layout):
+    from doublesign.io_gen import random_sign_matrix
+    from doublesign.sweep import analyze_sign_matrix
+
+    m = random_sign_matrix(7, range(500, 800))
+    x, picked = {
+        "fortran": (np.asfortranarray(m), slice(None)),
+        "strided": (m[::3], slice(None, None, 3)),
+        "int64": (m.astype(np.int64), slice(None)),
+        "no_rows": (m[:0], slice(0, 0)),
+        "one_row": (m[7:8], slice(7, 8)),
+    }[layout]
+    ref = analyze_sign_matrix(7, m)
+    out = analyze_sign_matrix(7, x)
+    for name in ("diversity", "tri_mask", "spec_mask", "sigma4star", "quad3"):
+        got, want = getattr(out, name), getattr(ref, name)[picked]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert (got == want).all(), name
+
+
+def _with_label(shape, dtype, row, col, label):
+    m = np.zeros(shape, dtype=dtype)
+    m[row, col] = label
+    return m
+
+
+@pytest.mark.parametrize(
+    "signs, message",
+    [
+        (np.zeros((3, 11), dtype=np.uint8), r"10 label columns for n=5, got shape \(3, 11\)"),
+        (np.zeros(10, dtype=np.uint8), r"10 label columns for n=5, got shape \(10,\)"),
+        (np.zeros((2, 10), dtype=float), "integers 0..3, got dtype float64"),
+        (_with_label((4, 10), np.uint8, 1, 6, 4), "label 4 at row 1, column 6 is outside 0..3"),
+        (_with_label((4, 10), np.int64, 2, 0, -1), "label -1 at row 2, column 0 is outside 0..3"),
+    ],
+    ids=["wide", "one_dim", "float", "label4", "negative"],
+)
+def test_analyze_sign_matrix_rejects_malformed_input(signs, message):
+    from doublesign.sweep import analyze_sign_matrix
+
+    with pytest.raises(ValueError, match=message):
+        analyze_sign_matrix(5, signs)
+
+
 def test_sweep_caches_whole_families_only():
     from doublesign import sweep
 
