@@ -130,9 +130,13 @@ class K4Class:
         return self.kind == "all_distinct"
 
 
-def _find_common_triple(
+def find_common_triple(
     g: SignedCompleteGraph, quad: Sequence[int]
 ) -> Optional[CommonSignTriple]:
+    """The three edges of the K4 on ``quad`` that alone carry one label,
+    when they form a star or a triangle (first such label in group order),
+    or None.  ``quad`` is not checked: callers pass four distinct vertices
+    of ``g``, as :func:`classify_k4` does for an all-distinct K4."""
     rows = g.rows
     by_sign: dict[int, list[tuple[int, int]]] = {}
     for u, v in combinations(sorted(quad), 2):
@@ -160,7 +164,7 @@ def classify_k4(g: SignedCompleteGraph, quad: Sequence[int]) -> K4Class:
     tris = tuple(ELEMENTS[t] for t in labels)
     distinct = sorted(set(labels))
     if len(distinct) == 4:
-        return K4Class(vs, tris, "all_distinct", common_triple=_find_common_triple(g, vs))
+        return K4Class(vs, tris, "all_distinct", common_triple=find_common_triple(g, vs))
     # The four labels always sum to the identity (every edge is counted
     # twice), so short of being all distinct they pair up as x, x, y, y.
     pair = (ELEMENTS[distinct[0]], ELEMENTS[distinct[-1]])

@@ -12,11 +12,10 @@ import argparse
 import json
 import math
 import sys
-from itertools import combinations
 from pathlib import Path
 
 from . import io_gen, lemma_lab, oracle, solver
-from .census import classify_k4, triangle_census
+from .census import find_common_triple, k4_label_counts, triangle_census
 from .graph import SignedCompleteGraph
 from .group import ELEMENTS
 from .switching import normalize_at
@@ -83,12 +82,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
     census = triangle_census(g)
     all_distinct = 0
     with_triple = {"star": 0, "triangle": 0}
-    for q in combinations(g.vertices(), 4):
-        k = classify_k4(g, q)
-        if k.is_all_distinct:
+    for quad, k in k4_label_counts(g):
+        if k == 4:
             all_distinct += 1
-            if k.common_triple is not None:
-                with_triple[k.common_triple.shape] += 1
+            triple = find_common_triple(g, quad)
+            if triple is not None:
+                with_triple[triple.shape] += 1
     payload = {
         "n": g.n,
         "diversity": census.diversity,
