@@ -52,25 +52,9 @@ class BatchAnalysis:
     quad3: np.ndarray  # some K4 has exactly three (provably impossible)
 
 
-def _edge_columns(n: int, signs: np.ndarray) -> np.ndarray:
-    """Check a (rows, n(n-1)/2) label matrix and transpose it once into the
-    working layout: one contiguous uint8 row of labels per edge."""
-    signs = np.asarray(signs)
-    width = n * (n - 1) // 2
-    if signs.ndim != 2 or signs.shape[1] != width:
-        raise ValueError(
-            f"expected a 2-D matrix with {width} label columns for n={n}, got shape {signs.shape}"
-        )
-    if not np.issubdtype(signs.dtype, np.integer):
-        raise ValueError(f"labels must be integers 0..3, got dtype {signs.dtype}")
-    if signs.size and (signs.min() < 0 or signs.max() > 3):
-        r, c = np.argwhere((signs < 0) | (signs > 3))[0]
-        raise ValueError(f"label {signs[r, c]} at row {r}, column {c} is outside 0..3")
-    return np.ascontiguousarray(signs.T, dtype=np.uint8)
-
-
 def _analyze_columns(n: int, cols: np.ndarray) -> BatchAnalysis:
-    """The batch facts from edge-major labels ``cols`` (edges, rows)."""
+    """The batch facts from checked labels in the working layout: ``cols``
+    is a C-contiguous (edges, rows) uint8 block, one row per edge."""
     rows = cols.shape[1]
     tris = triangle_table(n)
     # One-hot label bit 1 << label per (triangle, row), shared by the K4 stage.
@@ -111,10 +95,21 @@ def analyze_sign_matrix(n: int, signs: np.ndarray) -> BatchAnalysis:
     Row i must be the triangular sign array of one instance; columns are
     edge-index order, labels integers in 0..3, and any memory layout is
     accepted.  Spectra enumerate all (n-1)!/2 circles.  Raises
-    ``ValueError`` on a matrix of the wrong shape or on a label outside
-    0..3, naming its row and column.
+    ``ValueError`` on a matrix of the wrong shape, on a non-integer
+    dtype, or on a label outside 0..3, naming its row and column.
     """
-    return _analyze_columns(n, _edge_columns(n, signs))
+    signs = np.asarray(signs)
+    width = n * (n - 1) // 2
+    if signs.ndim != 2 or signs.shape[1] != width:
+        raise ValueError(
+            f"expected a 2-D matrix with {width} label columns for n={n}, got shape {signs.shape}"
+        )
+    if not np.issubdtype(signs.dtype, np.integer):
+        raise ValueError(f"labels must be integers 0..3, got dtype {signs.dtype}")
+    if signs.size and (signs.min() < 0 or signs.max() > 3):
+        r, c = np.argwhere((signs < 0) | (signs > 3))[0]
+        raise ValueError(f"label {signs[r, c]} at row {r}, column {c} is outside 0..3")
+    return _analyze_columns(n, np.ascontiguousarray(signs.T, dtype=np.uint8))
 
 
 @dataclass
@@ -145,7 +140,8 @@ def _sweep_range(n: int, start: int, stop: int) -> NormalizedSweep:
     cols = np.ascontiguousarray(signs_from_indices(n, idx).T)
     base = _analyze_columns(n, cols)
 
-    free_bits = np.left_shift(_ONE, cols[[edge_index(n, u, v) for u, v in free_edges(n)]])
+    free_bits = cols[[edge_index(n, u, v) for u, v in free_edges(n)]]
+    np.left_shift(_ONE, free_bits, out=free_bits)
     edge_mask = np.bitwise_or.reduce(free_bits, axis=0)
     # Walk the free edges last to first, so each label ends at its first
     # edge; a label that no free edge carries reads 0.
