@@ -150,15 +150,25 @@ def test_vectorized_sweep_matches_scalar_oracle():
         assert bytes(row) == instance_from_index(5, idx)._signs
 
 
-@pytest.mark.parametrize("chunk", ["first", "seeded"])
+@pytest.mark.parametrize("chunk", ["first", "seeded", "switched"])
 def test_n7_sweep_chunk_matches_scalar_oracle(chunk):
-    from doublesign import instance_from_index, triangle_census
+    from doublesign import SignedCompleteGraph, triangle_census
     from doublesign.census import first_all_distinct_k4
-    from doublesign.sweep import run_normalized_sweep
+    from doublesign.graph import all_edges
+    from doublesign.sweep import analyze_sign_matrix, run_normalized_sweep, signs_from_indices
 
     rng = np.random.default_rng(71)
-    start = 0 if chunk == "first" else int(rng.integers(1, 4 ** 15 >> 16)) << 16
-    sw = run_normalized_sweep(7, start, start + (1 << 16))
+    start = int(rng.integers(1, 4 ** 15 >> 16)) << 16 if chunk == "seeded" else 0
+    signs = signs_from_indices(7, np.arange(start, start + (1 << 16)))
+    if chunk == "switched":
+        # A seeded switching per row keeps every triangle and circle label
+        # but moves the hub edges off the identity.
+        zeta = rng.integers(0, 4, size=(len(signs), 8), dtype=np.uint8)
+        for e, (u, v) in enumerate(all_edges(7)):
+            signs[:, e] ^= zeta[:, u] ^ zeta[:, v]
+        sw = analyze_sign_matrix(7, signs)
+    else:
+        sw = run_normalized_sweep(7, start, start + (1 << 16))
     assert not sw.quad3.any()
     # seeded rows from every (diversity, all-distinct K4) class in the chunk
     rows = []
@@ -168,7 +178,7 @@ def test_n7_sweep_chunk_matches_scalar_oracle(chunk):
             rows += rng.choice(found, size=min(8, len(found)), replace=False).tolist()
     assert len(rows) >= 16
     for r in rows:
-        g = instance_from_index(7, start + r)
+        g = SignedCompleteGraph(7, signs[r].tobytes())
         c = triangle_census(g)
         assert sw.diversity[r] == c.diversity
         assert sw.tri_mask[r] == sum(1 << int(s) for s in c.signs)
