@@ -131,16 +131,19 @@ class K4Class:
 
 
 def find_common_triple(
-    g: SignedCompleteGraph, quad: Sequence[int]
+    g: SignedCompleteGraph, quad: Sequence[int], z: Optional[Sequence[int]] = None
 ) -> Optional[CommonSignTriple]:
     """The three edges of the K4 on ``quad`` that alone carry one label,
     when they form a star or a triangle (first such label in group order),
-    or None.  ``quad`` is not checked: callers pass four distinct vertices
-    of ``g``, as :func:`classify_k4` does for an all-distinct K4."""
+    or None.  Edge u-v is read as ``z[u] ^ rows[u][v] ^ z[v]`` under the
+    switching ``z`` (ints by vertex; ``g.rows[v]`` normalizes v), if any.
+    ``quad`` is not checked: callers pass four distinct vertices of ``g``,
+    as :func:`classify_k4` does for an all-distinct K4."""
     rows = g.rows
+    z = bytes(g.n + 1) if z is None else z
     by_sign: dict[int, list[tuple[int, int]]] = {}
     for u, v in combinations(sorted(quad), 2):
-        by_sign.setdefault(rows[u][v], []).append((u, v))
+        by_sign.setdefault(rows[u][v] ^ z[u] ^ z[v], []).append((u, v))
     for s in ELEMENTS:
         edges = by_sign.get(s, [])
         if len(edges) != 3:

@@ -127,7 +127,7 @@ def build(n: int, signs: Iterable[tuple[int, int, F22]]) -> SignedCompleteGraph:
 
 
 def _check_distinct(vertices: Sequence[int], least: int, kind: str) -> tuple[int, ...]:
-    vs = tuple(int(v) for v in vertices)
+    vs = tuple(map(int, vertices))
     if len(vs) < least:
         raise ValueError(f"a {kind} needs at least {least} vertices, got {len(vs)}")
     if len(set(vs)) != len(vs):
@@ -148,9 +148,8 @@ class Circle:
     def __init__(self, vertices: Sequence[int]):
         vs = _check_distinct(vertices, 3, "circle")
         k = vs.index(min(vs))
-        forward = vs[k:] + vs[:k]
-        backward = (forward[0],) + tuple(reversed(forward[1:]))
-        self.vertices = min(forward, backward)
+        vs = vs[k:] + vs[:k]
+        self.vertices = vs if vs[1] < vs[-1] else vs[:1] + vs[:0:-1]
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -218,10 +217,11 @@ def walk_sign(g: SignedCompleteGraph, walk: Circle | Path) -> F22:
     Independent of orientation, and of rotation for circles, because the
     label group is commutative and the traversed edge set is the same.
     """
-    g.check_vertices(*walk.vertices)
+    vs = walk.vertices
+    g.check_vertices(*vs)
     rows = g.rows
-    acc = 0
-    for u, v in walk.edges():
+    acc = rows[vs[-1]][vs[0]] if isinstance(walk, Circle) else 0
+    for u, v in zip(vs, vs[1:]):
         acc ^= rows[u][v]
     return ELEMENTS[acc]
 

@@ -25,6 +25,12 @@ The structures each branch starts from (chained or shared-edge hub
 triangles, the first all-distinct K4) come from :mod:`census`, the one
 module that reads triangle and K4 labels off a graph's row table; a call
 makes one census pass and builds no table of all triangles or K4s.
+
+Only the K4-free branch and :func:`necklace_construct` normalize a
+graph.  The rest read v's normalization as the switching ``z = rows[v]``
+(edge u-w: ``z[u] ^ rows[u][w] ^ z[w]``), write insertion moves as
+vertex tuples and build a :class:`Circle` only for candidate witnesses.
+
 Nothing the case machine produces is trusted: every witness set is
 re-verified structurally (Hamiltonicity, recomputed labels,
 distinctness) before being returned, and any branch that fails to apply
@@ -38,12 +44,13 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from .census import (
+    CommonSignTriple,
     EdgeStructure,
-    K4Class,
     TheoryViolationError,
     TriangleCensus,
     classify_k4,
     distinct_sign_edge_structure,
+    find_common_triple,
     find_consecutive_distinct_triple,
     find_shared_edge_config,
     first_all_distinct_k4,
@@ -211,67 +218,59 @@ def _predict_from_census(g: SignedCompleteGraph, census: TriangleCensus) -> Spec
 # Diversity 3: chained-triangle and shared-edge constructions
 # ---------------------------------------------------------------------------
 
-def _insert(g: SignedCompleteGraph, h: Circle, v: int, i: int, j: int) -> Circle:
-    return circle_symmetric_difference(g, h, Triangle.of(v, i, j))
-
-
 def _chained_triple_moves(
-    g: SignedCompleteGraph,
-    gn: SignedCompleteGraph,
-    quad: Sequence[int],
-    v5: int,
-    trace: str,
+    g: SignedCompleteGraph, quad: Sequence[int], v5: int, trace: str
 ) -> WitnessSet:
-    """Witnesses from a normalized chained-triple frame.
+    """Witnesses from a chained-triple frame, read with v5 normalized.
 
-    ``gn`` is normalized at v5 and the four ``quad`` vertices span two
-    triangles with distinct labels plus an edge carrying a third.  In a
-    frame (v1, v2, v3, v4) with triangles v1-v2-v3 and v1-v3-v4 labeled
-    x and y, two base circles avoiding v5 differ by where v3 sits, and
-    inserting v5 across the edges v1-v4, v3-v4, v1-v3, v1-v2 shifts their
-    labels by those edges' labels — exact arithmetic, so the frame that
-    makes all four results distinct can be selected before building
-    anything.  The admissible assignments fall into two label patterns,
-    and in each some frame works.
+    Normalized at v5, the four ``quad`` vertices span two triangles with
+    distinct labels plus an edge carrying a third.  In a frame (v1, v2,
+    v3, v4) with triangles v1-v2-v3 and v1-v3-v4 labeled x and y, two
+    base circles avoiding v5 differ by where v3 sits, and inserting v5
+    across the edges v1-v4, v3-v4, v1-v3, v1-v2 shifts their labels by
+    those edges' labels — exact arithmetic, so the frame that makes all
+    four results distinct can be selected before building anything.  The
+    admissible assignments fall into two label patterns, and in each
+    some frame works.
     """
-    r = gn.rows
+    r, z = g.rows, g.rows[v5]
+    qs = sorted(quad)
+    s = [[r[a][b] ^ z[a] ^ z[b] for b in qs] for a in qs]  # labels at v5 normalized
     frame = None
-    for v1, v2, v3, v4 in permutations(sorted(quad)):
-        x = r[v1][v2] ^ r[v1][v3] ^ r[v2][v3]
-        y = r[v1][v3] ^ r[v1][v4] ^ r[v3][v4]
+    for i1, i2, i3, i4 in permutations(range(4)):
+        x = s[i1][i2] ^ s[i1][i3] ^ s[i2][i3]
+        y = s[i1][i3] ^ s[i1][i4] ^ s[i3][i4]
         if x == y:
             continue
         moves_arith = {
-            x ^ r[v1][v4],
-            y ^ r[v3][v4],
-            y ^ r[v1][v3],
-            y ^ r[v1][v2],
+            x ^ s[i1][i4],
+            y ^ s[i3][i4],
+            y ^ s[i1][i3],
+            y ^ s[i1][i2],
         }
         if len(moves_arith) == 4:
-            frame = (v1, v2, v3, v4)
+            frame = (i1, i2, i3, i4)
             break
     if frame is None:
         raise _CaseFailed(f"{trace}: no frame yields four distinct labels")
-    v1, v2, v3, v4 = frame
-    z = r[v1][v4]
-    rest = sorted(set(gn.vertices()) - {v1, v2, v3, v4, v5})
-    h1 = Circle((v4, v1, v3, v2, *rest))
-    h2 = Circle((v4, v3, v1, v2, *rest))
+    z14 = s[frame[0]][frame[3]]
+    z_count = sum(1 for a, b in combinations(range(4), 2) if s[a][b] == z14)
+    v1, v2, v3, v4 = (qs[i] for i in frame)
+    rest = [v for v in g.vertices() if v not in qs and v != v5]
     moves = [
-        _insert(gn, h1, v5, v1, v4),
-        _insert(gn, h2, v5, v3, v4),
-        _insert(gn, h2, v5, v3, v1),
-        _insert(gn, h2, v5, v2, v1),
+        (v4, v5, v1, v3, v2, *rest),  # base (v4, v1, v3, v2, *rest) across v1-v4
+        (v4, v5, v3, v1, v2, *rest),  # base (v4, v3, v1, v2, *rest) across v3-v4
+        (v4, v3, v5, v1, v2, *rest),  # the same base across v1-v3
+        (v4, v3, v1, v5, v2, *rest),  # the same base across v1-v2
     ]
-    z_count = sum(1 for a, b in combinations(frame, 2) if r[a][b] == z)
     panel = {3: "left_panel", 4: "right_panel"}.get(z_count, "atypical_panel")
-    return _witness_set(g, moves, f"{trace}/{panel}")
+    return _witness_set(g, [Circle(vs) for vs in moves], f"{trace}/{panel}")
 
 
 def _shared_edge_moves(
     g: SignedCompleteGraph, hub: int, cfg: tuple[int, int, int, int, int]
 ) -> WitnessSet:
-    """Witnesses from the shared-edge configuration, after normalizing m.
+    """Witnesses from the shared-edge configuration, read with m normalized.
 
     If the K4 spanned by hub, i, j, k picks up an edge of the third label
     under the normalization, relabel so that edge plays the v1-v4 role
@@ -280,19 +279,20 @@ def _shared_edge_moves(
     edges hub-p and i-k of two base circles realizes all four labels.
     """
     i, j, k, m, p = cfg
-    gn, _ = normalize_at(g, m)
-    r = gn.rows
+    r, zm = g.rows, g.rows[m]
+    def label(u: int, v: int) -> int:  # edge u-v with m normalized
+        return r[u][v] ^ zm[u] ^ zm[v]
     x = r[hub][i] ^ r[hub][j] ^ r[i][j]
     y = r[hub][j] ^ r[hub][k] ^ r[j][k]
-    z = r[hub][p]
+    z = label(hub, p)
     if len({x, y, z}) != 3:
         raise _CaseFailed("shared-edge frame labels not distinct")
 
     quad = (hub, i, j, k)
-    if any(r[a][b] == z for a, b in combinations(quad, 2)):
+    if any(label(a, b) == z for a, b in combinations(quad, 2)):
         # Subcase 1: the K4 picked up a third-label edge, so a
         # chained-triple frame exists inside it.
-        return _chained_triple_moves(g, gn, quad, m, "lemma_b/case2/subcase1")
+        return _chained_triple_moves(g, quad, m, "lemma_b/case2/subcase1")
 
     # Subcase 2: K4 edges all carry the two triangle labels.
     v1, v2, v3, v4, v5, v6 = hub, i, j, k, m, p
@@ -300,29 +300,23 @@ def _shared_edge_moves(
     beta = r[v2][v3] ^ r[v2][v4] ^ r[v3][v4]
     if {alpha, beta} != {x, y}:
         raise _CaseFailed("subcase 2 triangle labels off-pattern")
-    rest7 = sorted(set(g.vertices()) - {v1, v2, v3, v4, v5, v6})
-    h1 = Circle((v6, v1, v2, v4, v3, *rest7))
-    h2 = Circle((v6, v1, v4, v2, v3, *rest7))
-    moves = [
-        _insert(gn, h1, v5, v1, v6),
-        _insert(gn, h2, v5, v1, v6),
-        _insert(gn, h1, v5, v2, v4),
-        _insert(gn, h2, v5, v2, v4),
+    rest7 = [v for v in g.vertices() if v not in (v1, v2, v3, v4, v5, v6)]
+    moves = [  # bases (v6, v1, v2, v4, v3, *rest7) and (v6, v1, v4, v2, v3, *rest7)
+        (v6, v5, v1, v2, v4, v3, *rest7),  # first base across v1-v6
+        (v6, v5, v1, v4, v2, v3, *rest7),  # second base across v1-v6
+        (v6, v1, v2, v5, v4, v3, *rest7),  # first base across v2-v4
+        (v6, v1, v4, v5, v2, v3, *rest7),  # second base across v2-v4
     ]
-    def edge_class(u: int, v: int) -> str:
-        return "a" if r[u][v] == alpha else "b" if r[u][v] == beta else "?"
-
-    pattern = tuple(
-        edge_class(u, v)
-        for u, v in ((v1, v2), (v2, v3), (v3, v4), (v1, v4), (v2, v4))
-    )
+    edge_class = {alpha: "a", beta: "b"}
+    frame_edges = ((v1, v2), (v2, v3), (v3, v4), (v1, v4), (v2, v4))
+    pattern = tuple(edge_class.get(label(u, v), "?") for u, v in frame_edges)
     named = {
         ("a", "b", "b", "b", "b"): "type1",
         ("a", "a", "a", "b", "b"): "type2",
         ("a", "a", "b", "a", "a"): "type3",
     }
-    label = named.get(pattern, "variant")
-    return _witness_set(g, moves, f"lemma_b/case2/subcase2/{label}")
+    name = named.get(pattern, "variant")
+    return _witness_set(g, [Circle(vs) for vs in moves], f"lemma_b/case2/subcase2/{name}")
 
 
 def _construct_diversity3(g: SignedCompleteGraph, signs3: Sequence[F22]) -> WitnessSet:
@@ -330,8 +324,7 @@ def _construct_diversity3(g: SignedCompleteGraph, signs3: Sequence[F22]) -> Witn
         found = find_consecutive_distinct_triple(g, hub)
         if found:
             a, b, c, d = found
-            gn, _ = normalize_at(g, d)
-            return _chained_triple_moves(g, gn, (hub, a, b, c), d, "lemma_b/case1")
+            return _chained_triple_moves(g, (hub, a, b, c), d, "lemma_b/case1")
     for hub in g.vertices():
         cfg = find_shared_edge_config(g, hub, signs3)
         if cfg:
@@ -364,17 +357,15 @@ def build_from_four_sign_path(
     if len(path_signs) != 4:
         raise ValueError(f"path edges carry {sorted(path_signs)}, need all four labels")
     missing = sorted(set(g.vertices()) - {hub} - set(p.vertices))
-    ring = Circle(p.vertices + tuple(missing))
+    ring = p.vertices + tuple(missing)
     r = g.rows
-    per_sign: dict[int, tuple[int, int]] = {}
-    for u, v in ring.edges():
+    # per label, the least ring edge and the ring position after it
+    per_sign: dict[int, tuple[tuple[int, int], int]] = {}
+    for pos, (u, v) in enumerate(zip(ring, ring[1:] + ring[:1]), 1):
         e = (min(u, v), max(u, v))
-        if r[u][v] not in per_sign or e < per_sign[r[u][v]]:
-            per_sign[r[u][v]] = e
-    circles = [
-        circle_symmetric_difference(g, ring, Triangle.of(hub, *per_sign[sign]))
-        for sign in ELEMENTS
-    ]
+        if r[u][v] not in per_sign or e < per_sign[r[u][v]][0]:
+            per_sign[r[u][v]] = e, pos
+    circles = [Circle(ring[:pos] + (hub,) + ring[pos:]) for _, pos in map(per_sign.get, ELEMENTS)]
     try:
         return _witness_set(g, circles, "four_sign_path")
     except _CaseFailed as exc:
@@ -462,10 +453,8 @@ def _assemble_four_sign_path(
                 break
             walk.append(nxt[0])
             seen.add(nxt[0])
-        pieces.append(walk)
-    pieces.sort(key=lambda piece: piece[0])
-    flat = [v for piece in pieces for v in piece]
-    return Path(flat)
+        pieces.append(walk)  # in order of first vertex, as starts ascend
+    return Path([v for piece in pieces for v in piece])
 
 
 def _construct_case_alpha(g: SignedCompleteGraph) -> WitnessSet:
@@ -490,25 +479,28 @@ def _construct_case_alpha(g: SignedCompleteGraph) -> WitnessSet:
 # ---------------------------------------------------------------------------
 
 def _k4_paths_by_sign(
-    gn: SignedCompleteGraph, quad: Sequence[int], start: int
+    g: SignedCompleteGraph, z: Sequence[int], quad: Sequence[int], start: int
 ) -> dict[int, tuple[int, ...]]:
-    """Least Hamiltonian path of the induced K4 from ``start`` per label."""
+    """Least Hamiltonian path of the induced K4 from ``start`` per label,
+    switched by ``z``, which acts on a path's label at its two ends only."""
     others = sorted(v for v in quad if v != start)
-    r = gn.rows
+    r = g.rows
     out: dict[int, tuple[int, ...]] = {}
     for a, b, c in permutations(others):
-        out.setdefault(r[start][a] ^ r[a][b] ^ r[b][c], (start, a, b, c))
+        out.setdefault(r[start][a] ^ r[a][b] ^ r[b][c] ^ z[start] ^ z[c], (start, a, b, c))
     return out
 
 
 def _necklace_circles(
-    gn: SignedCompleteGraph,
+    g: SignedCompleteGraph,
+    z: Sequence[int],
     quad: Sequence[int],
     start: int,
     norm: int,
     ext: Sequence[int],
 ) -> list[Circle]:
-    paths = _k4_paths_by_sign(gn, quad, start)
+    """Four-label K4 paths from ``start`` closed through ``norm`` (z: its switching row)."""
+    paths = _k4_paths_by_sign(g, z, quad, start)
     if len(paths) != 4:
         raise CaseNotApplicableError(
             f"paths from {start} realize only {sorted(paths)} after normalizing {norm}"
@@ -541,7 +533,7 @@ def necklace_construct(
     if not classify_k4(gn, quad).is_all_distinct:
         raise CaseNotApplicableError(f"K4 {quad} does not have four distinct triangle labels")
     ext = sorted(set(g.vertices()) - set(k5))
-    circles = _necklace_circles(gn, quad, start, norm, ext)
+    circles = _necklace_circles(gn, gn.rows[norm], quad, start, norm, ext)
     try:
         return _witness_set(g, circles, "necklace")
     except _CaseFailed as exc:  # unreachable: constant offset of 4 labels
@@ -550,7 +542,7 @@ def necklace_construct(
 
 def _case_beta_two_anchor(
     g: SignedCompleteGraph,
-    gn: SignedCompleteGraph,
+    z: Sequence[int],
     quad: tuple[int, ...],
     v5: int,
     v6: int,
@@ -560,32 +552,27 @@ def _case_beta_two_anchor(
     The K4 path labels from any vertex cover exactly three values here;
     entering the circle through edges of two different labels at v6
     shifts the three values by two different offsets, whose union is
-    everything.
+    everything.  Labels are read with v5 normalized (``z = rows[v5]``).
     """
-    anchors = next(
-        (
-            (qa, qb)
-            for qa, qb in combinations(sorted(quad), 2)
-            if gn.rows[qa][v6] != gn.rows[qb][v6]
-        ),
-        None,
-    )
-    if anchors is None:
+    entry = {u: g.rows[u][v6] ^ z[u] for u in quad}  # z[v6] is common to all four
+    unequal = [(qa, qb) for qa, qb in combinations(sorted(quad), 2) if entry[qa] != entry[qb]]
+    if not unequal:
         raise _CaseFailed("two-anchor join: no unequal edge pair at v6")
+    anchors = unequal[0]
     mid = sorted(set(g.vertices()) - set(quad) - {v5, v6})
     circles = []
     for u in anchors:
-        for sign, path in sorted(_k4_paths_by_sign(gn, quad, u).items()):
+        for sign, path in sorted(_k4_paths_by_sign(g, z, quad, u).items()):
             circles.append(Circle(path + (v5, *mid, v6)))
     return _witness_set(g, circles, "lemma_c/case_beta/case2")
 
 
 def _case_beta_constant_bridges(
     g: SignedCompleteGraph,
-    gn: SignedCompleteGraph,
+    z: Sequence[int],
     quad: tuple[int, ...],
     v5: int,
-    k4class: K4Class,
+    triple: CommonSignTriple | None,
 ) -> WitnessSet:
     """Every outside vertex sees the K4 with one constant label.
 
@@ -593,9 +580,9 @@ def _case_beta_constant_bridges(
     circle's label reduces to what it picks up inside the K4.  At n = 6
     the four two-edge K4 paths with distinct labels embed directly; for
     larger n each of four distinct-label K4 edges rides a fixed frame
-    through two bridges and the normalized vertex.
+    through two bridges and the normalized vertex.  Labels, and the K4's
+    common-label ``triple``, are read with v5 normalized (``z = rows[v5]``).
     """
-    triple = k4class.common_triple
     if triple is None:
         raise _CaseFailed("constant-bridge case without a common-label triple")
     outside = sorted(set(g.vertices()) - set(quad) - {v5})
@@ -623,7 +610,7 @@ def _case_beta_constant_bridges(
     anchor = max(quad)
     chosen: dict[int, tuple[int, int]] = {}
     for u, v in quad_edges:
-        chosen.setdefault(gn.rows[u][v], (u, v))
+        chosen.setdefault(g.rows[u][v] ^ z[u] ^ z[v], (u, v))
     if len(chosen) != 4:
         raise _CaseFailed(f"K4 edges realize only {sorted(chosen)}")
     circles = []
@@ -640,25 +627,25 @@ def _case_beta_constant_bridges(
 
 
 def _construct_case_beta(g: SignedCompleteGraph, quad: tuple[int, ...]) -> WitnessSet:
-    outside = sorted(set(g.vertices()) - set(quad))
-    ext_all = {v5: [v for v in outside if v != v5] for v5 in outside}
+    rows = g.rows
+    outside = [v for v in g.vertices() if v not in quad]
     for v5 in outside:
-        gn, _ = normalize_at(g, v5)
-        if classify_k4(gn, quad).common_triple is None:
+        z = rows[v5]  # normalizes v5: edge u-v reads z[u] ^ rows[u][v] ^ z[v]
+        if find_common_triple(g, quad, z) is None:
+            ext = [v for v in outside if v != v5]
             for start in quad:
                 try:
-                    circles = _necklace_circles(gn, quad, start, v5, ext_all[v5])
+                    circles = _necklace_circles(g, z, quad, start, v5, ext)
                 except CaseNotApplicableError:
                     continue
                 return _witness_set(g, circles, "lemma_c/case_beta/case1")
             raise _CaseFailed("triple-free normalization but no four-label start")
     v5 = outside[0]
-    gn, _ = normalize_at(g, v5)
-    k4class = classify_k4(gn, quad)
+    z = rows[v5]
     for v6 in outside[1:]:
-        if len({gn.rows[u][v6] for u in quad}) > 1:
-            return _case_beta_two_anchor(g, gn, quad, v5, v6)
-    return _case_beta_constant_bridges(g, gn, quad, v5, k4class)
+        if len({rows[u][v6] ^ z[u] for u in quad}) > 1:
+            return _case_beta_two_anchor(g, z, quad, v5, v6)
+    return _case_beta_constant_bridges(g, z, quad, v5, find_common_triple(g, quad, z))
 
 
 # ---------------------------------------------------------------------------

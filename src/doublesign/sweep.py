@@ -30,7 +30,7 @@ import numpy as np
 from .census import quad_table, triangle_table
 from .graph import edge_index
 from .io_gen import free_edges, normalized_domain_size
-from .oracle import circle_edge_indices
+from .oracle import ENUMERATION_BOUND, circle_edge_indices
 
 POPCOUNT4 = np.array([bin(i).count("1") for i in range(16)], dtype=np.uint8)
 
@@ -89,15 +89,22 @@ def _analyze_columns(n: int, cols: np.ndarray) -> BatchAnalysis:
     return BatchAnalysis(n, diversity, tri_mask, spec_mask, sigma4star, quad3)
 
 
+def _check_enumeration_bound(n: int) -> None:
+    if n > ENUMERATION_BOUND:  # every row would enumerate all (n-1)!/2 circles
+        raise ValueError(f"n={n} is above the enumeration bound {ENUMERATION_BOUND}")
+
+
 def analyze_sign_matrix(n: int, signs: np.ndarray) -> BatchAnalysis:
     """Analyze a (batch, n(n-1)/2) matrix of full sign arrays.
 
     Row i must be the triangular sign array of one instance; columns are
     edge-index order, labels integers in 0..3, and any memory layout is
     accepted.  Spectra enumerate all (n-1)!/2 circles.  Raises
-    ``ValueError`` on a matrix of the wrong shape, on a non-integer
-    dtype, or on a label outside 0..3, naming its row and column.
+    ``ValueError`` for n above :data:`oracle.ENUMERATION_BOUND`, on a
+    matrix of the wrong shape, on a non-integer dtype, or on a label
+    outside 0..3, naming its row and column.
     """
+    _check_enumeration_bound(n)
     signs = np.asarray(signs)
     width = n * (n - 1) // 2
     if signs.ndim != 2 or signs.shape[1] != width:
@@ -174,8 +181,10 @@ def run_normalized_sweep(
     The range is processed in chunks of :data:`_CHUNK` rows, by worker
     processes when ``jobs > 1``, and the results concatenated in index
     order; the output is identical to a single-worker run, so whole
-    families of at most 4^10 rows are cached.
+    families of at most 4^10 rows are cached.  Raises ``ValueError`` for
+    n above :data:`oracle.ENUMERATION_BOUND`.
     """
+    _check_enumeration_bound(n)
     total = normalized_domain_size(n)
     if stop is None:
         stop = total

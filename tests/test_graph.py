@@ -146,6 +146,39 @@ def test_insertion_shifts_sign_by_the_triangle(gc, pick):
     assert walk_sign(g, out) == walk_sign(g, h) ^ triangle_sign(g, t)
 
 
+@given(st.lists(st.integers(min_value=1, max_value=40), min_size=3, max_size=9, unique=True))
+@settings(max_examples=150, deadline=None)
+def test_circle_canonical_form_over_all_rotations_and_reflections(order):
+    vs = tuple(order)
+    c = Circle(vs)
+    assert c.vertices[0] == min(vs) and c.vertices[1] < c.vertices[-1]
+    assert sorted(c.vertices) == sorted(vs)
+    for turned in (vs, vs[::-1]):
+        for k in range(len(vs)):
+            other = Circle(turned[k:] + turned[:k])
+            assert other == c and other.vertices == c.vertices and hash(other) == hash(c)
+
+
+@st.composite
+def graph_and_order(draw):
+    n = draw(st.integers(min_value=3, max_value=9))
+    g = gen_random(n, draw(st.integers(min_value=0, max_value=10_000)))
+    k = draw(st.integers(min_value=3, max_value=n))
+    return g, draw(st.permutations(range(1, n + 1)))[:k]
+
+
+@given(graph_and_order())
+@settings(max_examples=150, deadline=None)
+def test_walk_sign_is_the_plain_edge_sum(gc):
+    # a circle's sum includes its closing edge; a path's does not
+    g, vs = gc
+    open_sum = F22.E
+    for u, v in zip(vs, vs[1:]):
+        open_sum ^= g.sign(u, v)
+    assert walk_sign(g, Path(vs)) == open_sum
+    assert walk_sign(g, Circle(vs)) == open_sum ^ g.sign(vs[-1], vs[0])
+
+
 @st.composite
 def any_graph(draw):
     n = draw(st.integers(min_value=2, max_value=12))

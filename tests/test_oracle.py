@@ -232,6 +232,20 @@ def test_analyze_sign_matrix_rejects_malformed_input(signs, message):
         analyze_sign_matrix(5, signs)
 
 
+def test_sweep_refuses_n_above_the_enumeration_bound():
+    # n = 11 would enumerate 1,814,400 circles per row: refused before the
+    # circle table is built
+    from doublesign import oracle, sweep
+
+    n = oracle.ENUMERATION_BOUND + 1
+    cached = oracle.circle_edge_indices.cache_info().currsize
+    with pytest.raises(ValueError, match=f"n={n} is above the enumeration bound"):
+        sweep.analyze_sign_matrix(n, np.zeros((0, n * (n - 1) // 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match=f"n={n} is above the enumeration bound"):
+        sweep.run_normalized_sweep(n, 0, 1)
+    assert oracle.circle_edge_indices.cache_info().currsize == cached
+
+
 def test_sweep_caches_whole_families_only():
     from doublesign import sweep
 

@@ -145,6 +145,26 @@ def test_construction_makes_one_triangle_label_pass(g, monkeypatch):
     assert calls == [g.n]
 
 
+def test_common_branches_build_no_switched_graph(monkeypatch):
+    # case_beta/case1 (97% of uniform n = 6 draws) and lemma_b/case1 read
+    # switched labels off the input's rows; neither normalizes a graph
+    from doublesign import solver, switching
+
+    def unused(*args):
+        raise AssertionError("construction built a switched graph")
+
+    monkeypatch.setattr(solver, "normalize_at", unused)
+    monkeypatch.setattr(switching, "_switch", unused)
+    for g, trace in (
+        (instance_from_index(6, 6), "lemma_c/case_beta/case1"),
+        (instance_from_index(6, 262), "lemma_b/case1/left_panel"),
+    ):
+        ws = construct_witnesses(g)
+        assert ws.trace == trace
+        verify_witness_set(g, ws)
+        assert ws.signs == frozenset(ELEMENTS)
+
+
 def constant_bridge_fixture(n: int):
     # an all-distinct K4 whose three a-labeled edges meet at vertex 4;
     # vertex 5 pre-normalized; every later vertex sees the K4 uniformly

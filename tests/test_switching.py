@@ -107,3 +107,18 @@ def test_normalized_edges_equal_old_triangle_labels_seeded():
             for b in g.vertices():
                 if a < b and v not in (a, b):
                     assert gn.sign(a, b) == triangle_sign(g, (a, b, v))
+
+
+@given(st.integers(min_value=3, max_value=9), st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=100, deadline=None)
+def test_switched_reads_match_the_normalized_graph(n, seed):
+    # the solver reads edge u-v of normalize_at(g, h) as rows[u][v] ^ z[u] ^ z[v]
+    # with z = rows[h], without building the normalized graph
+    g = gen_random(n, seed)
+    r = g.rows
+    for h in g.vertices():
+        z = r[h]
+        gn = normalize_at(g, h)[0]
+        for u in g.vertices():
+            for v in g.vertices():
+                assert r[u][v] ^ z[u] ^ z[v] == gn.rows[u][v]
