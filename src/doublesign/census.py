@@ -18,9 +18,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graph import SignedCompleteGraph, all_edges, edge_index
+from .graph import SignedCompleteGraph, edge_index
 from .group import ELEMENTS, F22
-from .switching import require_normalized
 
 
 @lru_cache(maxsize=None)
@@ -302,25 +301,22 @@ _CASE_LABELS = {
 
 
 def distinct_sign_edge_structure(g: SignedCompleteGraph, hub: int) -> EdgeStructure:
-    """Pick the least edge per label off a normalized hub and classify them.
+    """Pick the least edge per label off the hub, normalized, and classify them.
 
-    Requires every hub edge to carry the identity and all four labels to
-    occur among the remaining edges (each such edge spans a hub triangle
-    of the same label, so these are basis witnesses).  The four chosen
-    edges are classified by how they meet: all at one vertex, a 3-star
-    with the fourth edge attached or disjoint, or a union of disjoint
-    paths.  A cycle among them raises :class:`TheoryViolationError`.
+    Normalized, edge u-w carries the label of hub triangle hub-u-w, which
+    no switching changes, so ``g`` need not be normalized at ``hub``.  All
+    four labels must occur off the hub (the chosen edges span hub
+    triangles of distinct labels, so these are basis witnesses).  The
+    four edges are classified by how they meet: all at one vertex, a
+    3-star with the fourth edge attached or disjoint, or a union of
+    disjoint paths.  A cycle among them raises :class:`TheoryViolationError`.
     """
-    require_normalized(g, hub)
-    rows = g.rows
+    others, tri = _hub_triangles(g, hub)
     chosen: dict[int, tuple[int, int]] = {}
-    for u, v in all_edges(g.n):
-        if u == hub or v == hub:
-            continue
-        if rows[u][v] not in chosen:
-            chosen[rows[u][v]] = (u, v)
-            if len(chosen) == 4:
-                break
+    for u, v in combinations(others, 2):
+        chosen.setdefault(tri(u, v), (u, v))
+        if len(chosen) == 4:
+            break
     if len(chosen) < 4:
         missing = [e for e in ELEMENTS if e not in chosen]
         raise ValueError(f"labels {missing} not realized off the hub")

@@ -603,9 +603,8 @@ def _verify_case_alpha_forest(scope: Scope, report: VerificationReport, jobs: in
         if triangle_census(g).diversity != 4 or first_all_distinct_k4(g) is not None:
             continue
         report.stats["qualifying"] = report.stats.get("qualifying", 0) + 1
-        gn, _ = normalize_at(g, 1)
         try:
-            distinct_sign_edge_structure(gn, 1)
+            distinct_sign_edge_structure(g, 1)
         except TheoryViolationError:
             report.add_violation({"instance": key, "detail": "witness edges contain a cycle"})
         except ValueError as exc:

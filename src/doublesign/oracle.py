@@ -108,9 +108,9 @@ def hamiltonian_spectrum(
             counts[acc] += 1
             if witnesses and acc not in wit:
                 wit[acc] = (1, second) + perm
-    count_map = {F22(i): counts[i] for i in range(4)}
+    count_map = dict(zip(ELEMENTS, counts))
     witness_map = (
-        {F22(k): Circle(tour) for k, tour in sorted(wit.items())} if witnesses else None
+        {ELEMENTS[k]: Circle(tour) for k, tour in sorted(wit.items())} if witnesses else None
     )
     return Spectrum(count_map, witness_map)
 
@@ -130,7 +130,7 @@ def hamiltonian_paths_spectrum(
         for v in perm:
             acc ^= rows[prev][v]
             prev = v
-        out.append(F22(acc))
+        out.append(ELEMENTS[acc])
     out.sort()
     return tuple(out)
 
@@ -179,9 +179,9 @@ def k4_path_report(g: SignedCompleteGraph) -> PathMultisetReport:
     per_start: dict[int, list[F22]] = {i: [] for i in (1, 2, 3, 4)}
     totals = {e: 0 for e in ELEMENTS}
     for perm, acc in paths:
-        per_start[perm[0]].append(F22(acc))
-        per_start[perm[-1]].append(F22(acc))
-        totals[F22(acc)] += 1
+        per_start[perm[0]].append(ELEMENTS[acc])
+        per_start[perm[-1]].append(ELEMENTS[acc])
+        totals[ELEMENTS[acc]] += 1
 
     groups = []
     for pair_a, pair_b in _K4_GROUPS:
@@ -194,7 +194,7 @@ def k4_path_report(g: SignedCompleteGraph) -> PathMultisetReport:
             PathGroup(
                 (pair_a, pair_b),
                 tuple(Path(perm) for perm, _ in members),
-                tuple(F22(acc) for _, acc in members),
+                tuple(ELEMENTS[acc] for _, acc in members),
             )
         )
     return PathMultisetReport(

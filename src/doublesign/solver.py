@@ -26,10 +26,10 @@ triangles, the first all-distinct K4) come from :mod:`census`, the one
 module that reads triangle and K4 labels off a graph's row table; a call
 makes one census pass and builds no table of all triangles or K4s.
 
-Only the K4-free branch and :func:`necklace_construct` normalize a
-graph.  The rest read v's normalization as the switching ``z = rows[v]``
-(edge u-w: ``z[u] ^ rows[u][w] ^ z[w]``), write insertion moves as
-vertex tuples and build a :class:`Circle` only for candidate witnesses.
+No branch builds a normalized graph.  Each reads v's normalization off
+the input as the switching ``z = rows[v]`` (edge u-w:
+``z[u] ^ rows[u][w] ^ z[w]``), writes insertion moves as vertex tuples
+and builds a :class:`Circle` only for candidate witnesses.
 
 Nothing the case machine produces is trusted: every witness set is
 re-verified structurally (Hamiltonicity, recomputed labels,
@@ -65,7 +65,6 @@ from .graph import (
     walk_sign,
 )
 from .group import ELEMENTS, F22
-from .switching import normalize_at, require_normalized
 
 
 class RestrictedSpectrumError(Exception):
@@ -342,38 +341,46 @@ def _construct_diversity3(g: SignedCompleteGraph, signs3: Sequence[F22]) -> Witn
 def build_from_four_sign_path(
     g: SignedCompleteGraph, p: Path, hub: int
 ) -> WitnessSet:
-    """Witnesses from a path off a normalized hub whose edges carry all
-    four labels.
+    """Witnesses from a path off the hub whose edges carry all four
+    labels, read with the hub normalized (``z = rows[hub]``; ``g`` need
+    not be normalized there).
 
     The path extends to a Hamiltonian path of the graph minus the hub and
     closes into a circle there.  Splicing the hub into an edge of label s
     replaces s by two identity labels, so the four splices across one edge
     per label realize the full label set.
     """
-    require_normalized(g, hub)
+    g.check_vertices(hub, *p.vertices)
     if hub in p.vertices:
         raise ValueError("path must avoid the hub")
-    path_signs = {g.sign(u, v) for u, v in p.edges()}
-    if len(path_signs) != 4:
-        raise ValueError(f"path edges carry {sorted(path_signs)}, need all four labels")
-    missing = sorted(set(g.vertices()) - {hub} - set(p.vertices))
-    ring = p.vertices + tuple(missing)
-    r = g.rows
-    # per label, the least ring edge and the ring position after it
-    per_sign: dict[int, tuple[tuple[int, int], int]] = {}
-    for pos, (u, v) in enumerate(zip(ring, ring[1:] + ring[:1]), 1):
-        e = (min(u, v), max(u, v))
-        if r[u][v] not in per_sign or e < per_sign[r[u][v]][0]:
-            per_sign[r[u][v]] = e, pos
-    circles = [Circle(ring[:pos] + (hub,) + ring[pos:]) for _, pos in map(per_sign.get, ELEMENTS)]
     try:
-        return _witness_set(g, circles, "four_sign_path")
+        return _splice_hub(g, p.vertices, hub, "four_sign_path")
     except _CaseFailed as exc:
         raise CounterexampleCandidateError(str(exc)) from None
 
 
+def _splice_hub(
+    g: SignedCompleteGraph, path: tuple[int, ...], hub: int, trace: str
+) -> WitnessSet:
+    """:func:`build_from_four_sign_path` on vertices already checked."""
+    r, z = g.rows, g.rows[hub]
+    path_signs = {r[u][v] ^ z[u] ^ z[v] for u, v in zip(path, path[1:])}
+    if len(path_signs) != 4:
+        found = sorted(ELEMENTS[s] for s in path_signs)
+        raise ValueError(f"path edges carry {found}, need all four labels")
+    ring = path + tuple(sorted(set(g.vertices()) - {hub} - set(path)))
+    # per label, the least ring edge and the ring position after it
+    per_sign: dict[int, tuple[tuple[int, int], int]] = {}
+    for pos, (u, v) in enumerate(zip(ring, ring[1:] + ring[:1]), 1):
+        e, s = (min(u, v), max(u, v)), r[u][v] ^ z[u] ^ z[v]
+        if s not in per_sign or e < per_sign[s][0]:
+            per_sign[s] = e, pos
+    circles = [Circle(ring[:pos] + (hub,) + ring[pos:]) for _, pos in map(per_sign.get, ELEMENTS)]
+    return _witness_set(g, circles, trace)
+
+
 def _assemble_four_sign_path(
-    gn: SignedCompleteGraph, hub: int, structure: EdgeStructure
+    g: SignedCompleteGraph, hub: int, structure: EdgeStructure
 ) -> Path:
     """Turn the four distinct-label witness edges into one simple path.
 
@@ -386,9 +393,10 @@ def _assemble_four_sign_path(
     """
     edges = {s: e for s, e in structure.edges_by_sign.items()}
     sign_of = {e: s for s, e in edges.items()}
+    z = g.rows[hub]
 
     def oriented_pair(l1: int, l2: int, s1: F22, s2: F22) -> list[int]:
-        between = gn.rows[l1][l2]
+        between = z[l1] ^ g.rows[l1][l2] ^ z[l2]
         if between == s1:
             return [l1, l2]
         if between == s2:
@@ -459,19 +467,15 @@ def _assemble_four_sign_path(
 
 def _construct_case_alpha(g: SignedCompleteGraph) -> WitnessSet:
     hub = 1
-    gn, _ = normalize_at(g, hub)
     try:
-        structure = distinct_sign_edge_structure(gn, hub)
+        structure = distinct_sign_edge_structure(g, hub)
     except (ValueError, TheoryViolationError) as exc:
         raise _CaseFailed(f"case alpha structure: {exc}") from None
-    path = _assemble_four_sign_path(gn, hub, structure)
+    path = _assemble_four_sign_path(g, hub, structure)
     try:
-        ws = build_from_four_sign_path(gn, path, hub)
-    except (ValueError, CounterexampleCandidateError) as exc:
+        return _splice_hub(g, path.vertices, hub, f"lemma_c/case_alpha/case{structure.case}")
+    except ValueError as exc:
         raise _CaseFailed(str(exc)) from None
-    return _witness_set(
-        g, [c for c, _ in ws.witnesses], f"lemma_c/case_alpha/case{structure.case}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +521,8 @@ def necklace_construct(
 
     ``k5_vertices`` induce the block; ``hub_pair = (start, norm)`` names
     the path start inside the block's K4 and the block vertex to
-    normalize.  After normalization the four distinct-label Hamiltonian
+    normalize, read as ``z = rows[norm]`` (``g`` need not be normalized
+    there).  After normalization the four distinct-label Hamiltonian
     paths of the K4 from ``start`` (when they exist) extend through
     ``norm`` and around the remaining vertices at a constant label
     offset, so the four circle labels again cover everything.
@@ -528,12 +533,13 @@ def necklace_construct(
     start, norm = hub_pair
     if norm not in k5 or start not in k5 or start == norm:
         raise ValueError(f"bad anchor pair {hub_pair} for block {k5}")
+    g.check_vertices(*k5)
     quad = tuple(v for v in k5 if v != norm)
-    gn, _ = normalize_at(g, norm)
-    if not classify_k4(gn, quad).is_all_distinct:
+    # triangle labels do not depend on the switching
+    if not classify_k4(g, quad).is_all_distinct:
         raise CaseNotApplicableError(f"K4 {quad} does not have four distinct triangle labels")
     ext = sorted(set(g.vertices()) - set(k5))
-    circles = _necklace_circles(gn, gn.rows[norm], quad, start, norm, ext)
+    circles = _necklace_circles(g, g.rows[norm], quad, start, norm, ext)
     try:
         return _witness_set(g, circles, "necklace")
     except _CaseFailed as exc:  # unreachable: constant offset of 4 labels

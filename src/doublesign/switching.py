@@ -53,10 +53,3 @@ def normalize_at(
     g.check_vertices(v)
     row = g.rows[v]  # row[v] is the diagonal, 0: the identity at v itself
     return _switch(g, row), {u: ELEMENTS[row[u]] for u in g.vertices()}
-
-
-def require_normalized(g: SignedCompleteGraph, hub: int) -> None:
-    """Raise ``ValueError`` unless every edge at ``hub`` carries the identity."""
-    g.check_vertices(hub)
-    if any(g.rows[hub]):
-        raise ValueError(f"graph is not normalized at {hub}")

@@ -121,10 +121,6 @@ def test_shared_edge_config_postcondition_on_diversity3_instances():
 
 
 class TestDistinctSignEdgeStructure:
-    def test_requires_normalized_hub(self, share_vertex_k4):
-        with pytest.raises(ValueError, match="not normalized"):
-            distinct_sign_edge_structure(share_vertex_k4, 1)
-
     def test_common_vertex_case(self):
         labels = {(1, v): "e" for v in range(2, 7)}
         labels |= {(2, 3): "a", (2, 4): "b", (2, 5): "c", (2, 6): "e", (5, 6): "e"}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_from
 from doublesign import (
@@ -12,8 +14,10 @@ from doublesign import (
     CaseNotApplicableError,
     WitnessSet,
     WitnessVerificationError,
+    apply_switching,
     build_from_four_sign_path,
     construct_witnesses,
+    distinct_sign_edge_structure,
     gen_random,
     hamiltonian_spectrum,
     instance_from_index,
@@ -146,23 +150,52 @@ def test_construction_makes_one_triangle_label_pass(g, monkeypatch):
 
 
 def test_common_branches_build_no_switched_graph(monkeypatch):
-    # case_beta/case1 (97% of uniform n = 6 draws) and lemma_b/case1 read
-    # switched labels off the input's rows; neither normalizes a graph
-    from doublesign import solver, switching
+    # every branch reads switched labels off the input's rows; none
+    # normalizes a graph
+    from doublesign import switching
 
     def unused(*args):
         raise AssertionError("construction built a switched graph")
 
-    monkeypatch.setattr(solver, "normalize_at", unused)
     monkeypatch.setattr(switching, "_switch", unused)
-    for g, trace in (
-        (instance_from_index(6, 6), "lemma_c/case_beta/case1"),
-        (instance_from_index(6, 262), "lemma_b/case1/left_panel"),
-    ):
-        ws = construct_witnesses(g)
+    cases = [
+        (instance_from_index(6, index), construct_witnesses, trace)
+        for index, trace in BRANCH_FIXTURES
+    ]
+    cases.append((constant_bridge_fixture(7), construct_witnesses, "lemma_c/case_beta/case3b"))
+
+    def shared(g):
+        return _shared_edge_moves(g, 1, SHARED_EDGE_CONFIG)
+
+    cases.append((graph_from(6, SHARED_EDGE_FIXTURES[1]), shared,
+                  "lemma_b/case2/subcase1/left_panel"))
+    cases.append((graph_from(6, SHARED_EDGE_FIXTURES[2]), shared, "lemma_b/case2/subcase2/variant"))
+    cases.append((TestNecklace().k5_fixture("b"),
+                  lambda g: necklace_construct(g, (1, 2, 3, 4, 5), (2, 5)), "necklace"))
+    for g, build, trace in cases:
+        ws = build(g)
         assert ws.trace == trace
         verify_witness_set(g, ws)
         assert ws.signs == frozenset(ELEMENTS)
+
+
+def test_construction_is_switching_invariant():
+    # every branch reads labels with some vertex normalized, and those
+    # labels do not depend on the switching; at n = 6 the family instances
+    # are normalized at hub 1 already, so only a switching reaches the
+    # case_alpha switching row
+    rng = np.random.default_rng(8)
+    inputs = [instance_from_index(6, index) for index in (17947, 17951, 19007)]
+    inputs.append(constant_bridge_fixture(7))
+    inputs += [gen_random(n, seed) for n in (6, 7, 8, 9) for seed in range(12)]
+    solved = 0
+    for g in inputs:
+        if triangle_census(g).diversity < 3:
+            continue
+        zeta = {v: ELEMENTS[int(rng.integers(4))] for v in g.vertices()}
+        assert construct_witnesses(apply_switching(g, zeta)) == construct_witnesses(g)
+        solved += 1
+    assert solved > len(inputs) * 0.75
 
 
 def constant_bridge_fixture(n: int):
@@ -290,16 +323,20 @@ class TestFourSignPath:
         verify_witness_set(g, ws)
         assert ws.signs == frozenset(ELEMENTS)
 
-    def test_rejects_unnormalized_graph(self, share_vertex_k4):
-        with pytest.raises(ValueError, match="not normalized"):
-            build_from_four_sign_path(share_vertex_k4, Path((2, 3, 4)), 1)
-
     def test_rejects_paths_without_four_labels(self):
         g = self.normalized_fixture()
         with pytest.raises(ValueError, match="need all four"):
             build_from_four_sign_path(g, Path((3, 4, 5)), 1)
         with pytest.raises(ValueError, match="avoid the hub"):
             build_from_four_sign_path(g, Path((1, 2, 3)), 1)
+
+    @pytest.mark.parametrize("bad", [0, -1, 7])
+    def test_rejects_out_of_range_vertices(self, bad):
+        g = self.normalized_fixture()
+        with pytest.raises(ValueError, match="out of range"):
+            build_from_four_sign_path(g, Path((3, 4, 2, 5, 6)), bad)
+        with pytest.raises(ValueError, match="out of range"):
+            build_from_four_sign_path(g, Path((3, 4, 2, 5, bad)), 1)
 
 
 class TestNecklace:
@@ -359,6 +396,49 @@ class TestNecklace:
             necklace_construct(named_instance("identity(6)"), (1, 2, 3, 4, 5), (1, 5))
         with pytest.raises(ValueError):
             necklace_construct(g, (1, 2, 3, 4), (1, 4))
+
+    @pytest.mark.parametrize("bad", [0, -1, 8])
+    def test_rejects_out_of_range_vertices(self, bad):
+        g = self.k5_fixture("b")
+        for k5, pair in (
+            ((1, 2, 3, 4, bad), (2, bad)),  # the normalized vertex
+            ((bad, 2, 3, 4, 5), (2, 5)),  # a K4 vertex
+            ((bad, 2, 3, 4, 5), (bad, 5)),  # the path start
+        ):
+            with pytest.raises(ValueError, match="out of range"):
+                necklace_construct(g, k5, pair)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the error is the outcome to compare
+        return type(exc), str(exc)
+
+
+@given(
+    st.integers(min_value=6, max_value=9),
+    st.integers(min_value=0, max_value=10_000),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_hub_readers_match_the_normalized_graph(n, seed, rnd):
+    # distinct_sign_edge_structure, build_from_four_sign_path and
+    # necklace_construct read labels with the hub normalized, so on any
+    # graph they agree with the same call on the graph normalized there
+    g = gen_random(n, seed)
+    for hub in g.vertices():
+        gn = normalize_at(g, hub)[0]
+        others = [v for v in g.vertices() if v != hub]
+        rnd.shuffle(others)
+        path = Path(others[: rnd.randint(2, n - 1)])
+        k5 = (hub, *others[:4])
+        for f, args in (
+            (distinct_sign_edge_structure, (hub,)),
+            (build_from_four_sign_path, (path, hub)),
+            (necklace_construct, (k5, (others[0], hub))),
+        ):
+            assert _outcome(f, g, *args) == _outcome(f, gn, *args)
 
 
 def test_fallback_search_is_itself_sound():
