@@ -33,8 +33,9 @@ and builds a :class:`Circle` only for candidate witnesses.
 
 Nothing the case machine produces is trusted: every witness set is
 re-verified structurally (Hamiltonicity, recomputed labels,
-distinctness) before being returned, and any branch that fails to apply
-falls back to a bounded verified search.
+distinctness) before being returned.  The case machine is the only
+construction path: a branch that fails to apply is a bug or an instance
+contradicting a lemma, and raises :class:`CounterexampleCandidateError`.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ from .graph import (
     Circle,
     Path,
     SignedCompleteGraph,
-    Triangle,
-    circle_symmetric_difference,
     walk_sign,
 )
 from .group import ELEMENTS, F22
@@ -88,8 +87,9 @@ class CounterexampleCandidateError(Exception):
     """No verified witness set was found where one should exist.
 
     This is the triage signal: the instance contradicts a claim the case
-    machine relies on, or exposed a bug.  The message carries enough to
-    replay the instance.
+    machine relies on, or exposed a bug.  The message names the condition
+    that failed and the branch or construction step it failed in; it does
+    not carry the instance, so a caller keeps the input to replay it.
     """
 
 
@@ -99,10 +99,6 @@ class CaseNotApplicableError(Exception):
 
 class WitnessVerificationError(Exception):
     """A witness set failed independent re-verification."""
-
-
-class _CaseFailed(Exception):
-    """Internal: a case-machine branch did not pan out; try the fallback."""
 
 
 @dataclass(frozen=True)
@@ -124,8 +120,8 @@ class SpectrumPrediction:
 class WitnessSet:
     """Four Hamiltonian circles realizing the four labels, with a trace.
 
-    ``trace`` names the construction path taken (case machine branch or
-    fallback) for reproducibility.
+    ``trace`` names the case-machine branch that built them, for
+    reproducibility.
     """
 
     witnesses: tuple[tuple[Circle, F22], ...]
@@ -169,7 +165,7 @@ def _witness_set(
         s = walk_sign(g, c)
         labeled.setdefault(s, c)
     if len(labeled) != 4:
-        raise _CaseFailed(
+        raise CounterexampleCandidateError(
             f"{trace}: constructed circles realize only {sorted(labeled)}"
         )
     return WitnessSet(tuple((labeled[s], s) for s in ELEMENTS), trace)
@@ -251,7 +247,7 @@ def _chained_triple_moves(
             frame = (i1, i2, i3, i4)
             break
     if frame is None:
-        raise _CaseFailed(f"{trace}: no frame yields four distinct labels")
+        raise CounterexampleCandidateError(f"{trace}: no frame yields four distinct labels")
     z14 = s[frame[0]][frame[3]]
     z_count = sum(1 for a, b in combinations(range(4), 2) if s[a][b] == z14)
     v1, v2, v3, v4 = (qs[i] for i in frame)
@@ -285,7 +281,7 @@ def _shared_edge_moves(
     y = r[hub][j] ^ r[hub][k] ^ r[j][k]
     z = label(hub, p)
     if len({x, y, z}) != 3:
-        raise _CaseFailed("shared-edge frame labels not distinct")
+        raise CounterexampleCandidateError("shared-edge frame labels not distinct")
 
     quad = (hub, i, j, k)
     if any(label(a, b) == z for a, b in combinations(quad, 2)):
@@ -298,7 +294,7 @@ def _shared_edge_moves(
     alpha = r[v1][v2] ^ r[v1][v4] ^ r[v2][v4]
     beta = r[v2][v3] ^ r[v2][v4] ^ r[v3][v4]
     if {alpha, beta} != {x, y}:
-        raise _CaseFailed("subcase 2 triangle labels off-pattern")
+        raise CounterexampleCandidateError("subcase 2 triangle labels off-pattern")
     rest7 = [v for v in g.vertices() if v not in (v1, v2, v3, v4, v5, v6)]
     moves = [  # bases (v6, v1, v2, v4, v3, *rest7) and (v6, v1, v4, v2, v3, *rest7)
         (v6, v5, v1, v2, v4, v3, *rest7),  # first base across v1-v6
@@ -328,7 +324,7 @@ def _construct_diversity3(g: SignedCompleteGraph, signs3: Sequence[F22]) -> Witn
         cfg = find_shared_edge_config(g, hub, signs3)
         if cfg:
             return _shared_edge_moves(g, hub, cfg)
-    raise _CaseFailed(
+    raise CounterexampleCandidateError(
         "diversity 3 but neither a chained triple nor a shared-edge "
         "configuration exists at any hub"
     )
@@ -353,10 +349,7 @@ def build_from_four_sign_path(
     g.check_vertices(hub, *p.vertices)
     if hub in p.vertices:
         raise ValueError("path must avoid the hub")
-    try:
-        return _splice_hub(g, p.vertices, hub, "four_sign_path")
-    except _CaseFailed as exc:
-        raise CounterexampleCandidateError(str(exc)) from None
+    return _splice_hub(g, p.vertices, hub, "four_sign_path")
 
 
 def _splice_hub(
@@ -401,7 +394,7 @@ def _assemble_four_sign_path(
             return [l1, l2]
         if between == s2:
             return [l2, l1]
-        raise _CaseFailed(
+        raise CounterexampleCandidateError(
             f"leaf edge ({l1},{l2}) carries {between}, expected {s1} or {s2}"
         )
 
@@ -469,13 +462,10 @@ def _construct_case_alpha(g: SignedCompleteGraph) -> WitnessSet:
     hub = 1
     try:
         structure = distinct_sign_edge_structure(g, hub)
-    except (ValueError, TheoryViolationError) as exc:
-        raise _CaseFailed(f"case alpha structure: {exc}") from None
-    path = _assemble_four_sign_path(g, hub, structure)
-    try:
+        path = _assemble_four_sign_path(g, hub, structure)
         return _splice_hub(g, path.vertices, hub, f"lemma_c/case_alpha/case{structure.case}")
-    except ValueError as exc:
-        raise _CaseFailed(str(exc)) from None
+    except (ValueError, TheoryViolationError) as exc:
+        raise CounterexampleCandidateError(f"lemma_c/case_alpha: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +530,7 @@ def necklace_construct(
         raise CaseNotApplicableError(f"K4 {quad} does not have four distinct triangle labels")
     ext = sorted(set(g.vertices()) - set(k5))
     circles = _necklace_circles(g, g.rows[norm], quad, start, norm, ext)
-    try:
-        return _witness_set(g, circles, "necklace")
-    except _CaseFailed as exc:  # unreachable: constant offset of 4 labels
-        raise CounterexampleCandidateError(str(exc)) from None
+    return _witness_set(g, circles, "necklace")
 
 
 def _case_beta_two_anchor(
@@ -563,7 +550,7 @@ def _case_beta_two_anchor(
     entry = {u: g.rows[u][v6] ^ z[u] for u in quad}  # z[v6] is common to all four
     unequal = [(qa, qb) for qa, qb in combinations(sorted(quad), 2) if entry[qa] != entry[qb]]
     if not unequal:
-        raise _CaseFailed("two-anchor join: no unequal edge pair at v6")
+        raise CounterexampleCandidateError("two-anchor join: no unequal edge pair at v6")
     anchors = unequal[0]
     mid = sorted(set(g.vertices()) - set(quad) - {v5, v6})
     circles = []
@@ -590,7 +577,7 @@ def _case_beta_constant_bridges(
     common-label ``triple``, are read with v5 normalized (``z = rows[v5]``).
     """
     if triple is None:
-        raise _CaseFailed("constant-bridge case without a common-label triple")
+        raise CounterexampleCandidateError("constant-bridge case without a common-label triple")
     outside = sorted(set(g.vertices()) - set(quad) - {v5})
     quad_edges = sorted((u, v) for u, v in combinations(sorted(quad), 2))
 
@@ -604,7 +591,7 @@ def _case_beta_constant_bridges(
         for e1, e2 in pairs:
             shared = set(e1) & set(e2)
             if len(shared) != 1:
-                raise _CaseFailed(f"edges {e1}, {e2} do not share one vertex")
+                raise CounterexampleCandidateError(f"edges {e1}, {e2} do not share one vertex")
             wmid = shared.pop()
             a, b = sorted((set(e1) | set(e2)) - {wmid})
             vc = next(v for v in quad if v not in (a, b, wmid))
@@ -618,7 +605,7 @@ def _case_beta_constant_bridges(
     for u, v in quad_edges:
         chosen.setdefault(g.rows[u][v] ^ z[u] ^ z[v], (u, v))
     if len(chosen) != 4:
-        raise _CaseFailed(f"K4 edges realize only {sorted(chosen)}")
+        raise CounterexampleCandidateError(f"K4 edges realize only {sorted(chosen)}")
     circles = []
     for sign in ELEMENTS:
         u, v = chosen[sign]
@@ -645,7 +632,7 @@ def _construct_case_beta(g: SignedCompleteGraph, quad: tuple[int, ...]) -> Witne
                 except CaseNotApplicableError:
                     continue
                 return _witness_set(g, circles, "lemma_c/case_beta/case1")
-            raise _CaseFailed("triple-free normalization but no four-label start")
+            raise CounterexampleCandidateError("triple-free normalization but no four-label start")
     v5 = outside[0]
     z = rows[v5]
     for v6 in outside[1:]:
@@ -655,56 +642,18 @@ def _construct_case_beta(g: SignedCompleteGraph, quad: tuple[int, ...]) -> Witne
 
 
 # ---------------------------------------------------------------------------
-# Fallback search and the public entry point
+# The public entry point
 # ---------------------------------------------------------------------------
-
-def _fallback_search(g: SignedCompleteGraph, note: str) -> WitnessSet:
-    """Bounded verified search: insertion seeds, then 2-opt to depth 3."""
-    n = g.n
-    found: dict[F22, Circle] = {}
-    frontier: list[Circle] = []
-    seen: set[Circle] = set()
-
-    def visit(c: Circle) -> None:
-        if c in seen:
-            return
-        seen.add(c)
-        frontier.append(c)
-        found.setdefault(walk_sign(g, c), c)
-
-    visit(Circle(tuple(range(1, n + 1))))
-    for v in g.vertices():
-        base = Circle(tuple(u for u in g.vertices() if u != v))
-        for i, j in base.edges():
-            visit(circle_symmetric_difference(g, base, Triangle.of(v, i, j)))
-
-    depth = 0
-    while len(found) < 4 and depth < 3:
-        depth += 1
-        current, frontier = frontier, []
-        for c in current:
-            vs = c.vertices
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    visit(Circle(vs[: i + 1] + vs[i + 1 : j + 1][::-1] + vs[j + 1 :]))
-            if len(found) == 4:
-                break
-    if len(found) < 4:
-        raise CounterexampleCandidateError(
-            f"fallback exhausted at depth {depth} with labels {sorted(found)}; "
-            f"originating condition: {note}"
-        )
-    return WitnessSet(
-        tuple((found[s], s) for s in ELEMENTS), f"fallback/insertion_2opt({note})"
-    )
-
 
 def construct_witnesses(g: SignedCompleteGraph) -> WitnessSet:
     """Four Hamiltonian circles with pairwise distinct labels.
 
     Requires n > 5 and triangle diversity >= 3; refuses otherwise,
-    carrying the spectrum prediction when diversity pins it.  The result
-    always passes :func:`verify_witness_set` against the input graph.
+    carrying the spectrum prediction when diversity pins it.  The case
+    machine is the only construction path; where it misses, the call
+    raises :class:`CounterexampleCandidateError` naming the branch.  The
+    result always passes :func:`verify_witness_set` against the input
+    graph.
     """
     census = triangle_census(g)
     div = census.diversity
@@ -714,16 +663,13 @@ def construct_witnesses(g: SignedCompleteGraph) -> WitnessSet:
         raise UnsupportedSizeError(
             f"witness construction needs n > 5, got n={g.n}"
         )
-    try:
-        if div == 3:
-            ws = _construct_diversity3(g, sorted(census.signs))
+    if div == 3:
+        ws = _construct_diversity3(g, sorted(census.signs))
+    else:
+        quad = first_all_distinct_k4(g)
+        if quad is None:
+            ws = _construct_case_alpha(g)
         else:
-            quad = first_all_distinct_k4(g)
-            if quad is None:
-                ws = _construct_case_alpha(g)
-            else:
-                ws = _construct_case_beta(g, quad)
-    except _CaseFailed as exc:
-        ws = _fallback_search(g, str(exc))
+            ws = _construct_case_beta(g, quad)
     verify_witness_set(g, ws)
     return ws

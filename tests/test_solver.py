@@ -12,6 +12,8 @@ from doublesign import (
     RestrictedSpectrumError,
     UnsupportedSizeError,
     CaseNotApplicableError,
+    CounterexampleCandidateError,
+    InstanceRecord,
     WitnessSet,
     WitnessVerificationError,
     apply_switching,
@@ -25,6 +27,7 @@ from doublesign import (
     necklace_construct,
     normalize_at,
     predict_spectrum,
+    serialize,
     triangle_census,
     verify_witness_set,
     walk_sign,
@@ -99,23 +102,27 @@ class TestConstructRefusals:
             construct_witnesses(share_vertex_k4)
 
 
-# Hub-normalized n=6 labeling indices routed through each branch, found by
-# running the solver over the exhaustive family.
+# Hub-normalized labeling indices (n, index) routed through each branch,
+# found by running the solver over the exhaustive families; case_alpha/case3
+# is reached by no n = 6 instance, and 16820395 is its least n = 7 index.
 BRANCH_FIXTURES = [
-    (262, "lemma_b/case1/left_panel"),
-    (298, "lemma_b/case1/right_panel"),
-    (17947, "lemma_c/case_alpha/case1"),
-    (17951, "lemma_c/case_alpha/case2"),
-    (19007, "lemma_c/case_alpha/case4"),
-    (6, "lemma_c/case_beta/case1"),
-    (415, "lemma_c/case_beta/case2"),
-    (91, "lemma_c/case_beta/case3a"),
+    (6, 262, "lemma_b/case1/left_panel"),
+    (6, 298, "lemma_b/case1/right_panel"),
+    (6, 17947, "lemma_c/case_alpha/case1"),
+    (6, 17951, "lemma_c/case_alpha/case2"),
+    (7, 16820395, "lemma_c/case_alpha/case3"),
+    (6, 19007, "lemma_c/case_alpha/case4"),
+    (6, 6, "lemma_c/case_beta/case1"),
+    (6, 415, "lemma_c/case_beta/case2"),
+    (6, 91, "lemma_c/case_beta/case3a"),
 ]
 
 
-@pytest.mark.parametrize("index,trace", BRANCH_FIXTURES)
-def test_branch_fixtures_build_verified_full_sets(index, trace):
-    g = instance_from_index(6, index)
+@pytest.mark.parametrize(
+    "n,index,trace", BRANCH_FIXTURES, ids=[f"{i}-{t}" for _, i, t in BRANCH_FIXTURES]
+)
+def test_branch_fixtures_build_verified_full_sets(n, index, trace):
+    g = instance_from_index(n, index)
     ws = construct_witnesses(g)
     assert ws.trace == trace
     verify_witness_set(g, ws)
@@ -159,8 +166,8 @@ def test_common_branches_build_no_switched_graph(monkeypatch):
 
     monkeypatch.setattr(switching, "_switch", unused)
     cases = [
-        (instance_from_index(6, index), construct_witnesses, trace)
-        for index, trace in BRANCH_FIXTURES
+        (instance_from_index(n, index), construct_witnesses, trace)
+        for n, index, trace in BRANCH_FIXTURES
     ]
     cases.append((constant_bridge_fixture(7), construct_witnesses, "lemma_c/case_beta/case3b"))
 
@@ -236,7 +243,7 @@ def test_construction_scales_past_the_oracle_bound():
         g = gen_random(n, seed)
         ws = construct_witnesses(g)
         verify_witness_set(g, ws)
-        assert not ws.trace.startswith("fallback")
+        assert ws.trace.startswith(("lemma_b/", "lemma_c/"))
 
 
 class TestChainedTripleConstruction:
@@ -441,17 +448,23 @@ def test_hub_readers_match_the_normalized_graph(n, seed, rnd):
             assert _outcome(f, g, *args) == _outcome(f, gn, *args)
 
 
-def test_fallback_search_is_itself_sound():
-    # the case machine never needs it, but it must stand on its own
-    from doublesign.solver import _fallback_search
+def test_a_case_machine_miss_is_loud(monkeypatch, tmp_path, capsys):
+    # with both diversity-3 finders blinded the case machine has no branch
+    # left; the miss must raise, not be rescued by some other search
+    from doublesign import solver
+    from doublesign.cli import main
 
-    for seed in (2, 9, 31):
-        g = gen_random(6, seed)
-        if triangle_census(g).diversity < 3:
-            continue
-        ws = _fallback_search(g, "exercised directly")
-        assert ws.trace.startswith("fallback/")
-        verify_witness_set(g, ws)
+    monkeypatch.setattr(solver, "find_consecutive_distinct_triple", lambda *a: None)
+    monkeypatch.setattr(solver, "find_shared_edge_config", lambda *a: None)
+    g = instance_from_index(6, 262)
+    with pytest.raises(CounterexampleCandidateError,
+                       match="neither a chained triple nor a shared-edge configuration"):
+        construct_witnesses(g)
+
+    path = tmp_path / "g.txt"
+    path.write_text(serialize(InstanceRecord.from_graph(g)))
+    assert main(["construct", "--in", str(path)]) == 1
+    assert "counterexample candidate:" in capsys.readouterr().err
 
 
 def test_witness_verification_catches_tampering():
@@ -486,7 +499,7 @@ def test_seeded_instances_match_oracle_at_n7_and_n8():
         assert solved > seeds * 0.75
 
 
-def test_sampled_exhaustive_indices_never_fall_back():
+def test_sampled_exhaustive_indices_build_through_the_case_machine():
     rng = np.random.default_rng(5)
     from doublesign.sweep import run_normalized_sweep
 
@@ -501,4 +514,4 @@ def test_sampled_exhaustive_indices_never_fall_back():
         if triangle_census(g).diversity < 3:
             continue
         ws = construct_witnesses(g)
-        assert not ws.trace.startswith("fallback")
+        assert ws.trace.startswith(("lemma_b/", "lemma_c/"))
