@@ -113,7 +113,7 @@ def _construct_entries():
 
 
 def _spectrum_entries():
-    for n in range(6, 10):
+    for n in range(6, 11):
         for seed in range(4):
             spec = hamiltonian_spectrum(gen_random(n, seed), witnesses=True)
             yield f"random/{n}/{seed}", {
