@@ -114,6 +114,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.random is not None:
+        # refuse before generating: the graph alone grows as N^2
+        oracle.check_bound(args.random, args.bound)
     g = _load_instance(args)
     spec = oracle.hamiltonian_spectrum(g, witnesses=args.witness, bound=args.bound)
     payload = {

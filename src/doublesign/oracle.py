@@ -6,20 +6,36 @@ as permutations from a fixed start.  The constructive machinery is never
 consulted, so these results can sit on the other side of every
 cross-check.  Enumeration is guarded by a size bound to keep factorial
 work from running away.
+
+:func:`hamiltonian_spectrum` still visits every circle and XORs its own
+n edge labels; only the loop over circles runs in numpy.  The last
+``min(n - 2, 8)`` vertices of each tour are read off one cached table of
+their permutations, at most 8! columns (about 0.6 MB at any n), and a
+Python loop runs over the vertices before them: at n <= 10 that is the
+second vertex alone.  The table is this module's own and shares nothing
+with the sweep's circle table :func:`circle_edge_indices`, so the sweep
+and the oracle remain two independent routes to every spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
+from math import factorial
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .graph import Circle, Path, SignedCompleteGraph, edge_index
 from .group import ELEMENTS, F22
 
 #: Largest n enumerated by default: (10-1)!/2 = 181,440 circles.
 ENUMERATION_BOUND = 10
+
+#: Widest circle suffix enumerated in one numpy pass.  Its tables take
+#: 8! * 15 B, about 0.6 MB; uncapped they would take 838 MB at n = 13.
+_SUFFIX_WIDTH = 8
 
 
 def hamiltonian_circle_count(n: int) -> int:
@@ -69,11 +85,25 @@ class Spectrum:
         return sum(self.counts.values())
 
 
-def _check_bound(n: int, bound: int) -> None:
+def check_bound(n: int, bound: int) -> None:
+    """Raise ValueError if enumerating K_n needs a bound above ``bound``."""
     if n > bound:
         raise ValueError(
             f"n={n} exceeds the enumeration bound {bound}; raise `bound` explicitly"
         )
+
+
+@lru_cache(maxsize=None)
+def _suffix_tables(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The permutations of ``range(w)`` in lexicographic order, one per
+    column of a (w, w!) uint8 table, and the (w - 1, w!) flat indices
+    ``a * w + b`` of their consecutive pairs.  Both are read-only."""
+    count = factorial(w)
+    flat = np.fromiter(chain.from_iterable(permutations(range(w))), np.uint8, w * count)
+    perms = np.ascontiguousarray(flat.reshape(count, w).T)
+    pairs = perms[:-1] * np.uint8(w) + perms[1:]
+    perms.flags.writeable = pairs.flags.writeable = False
+    return perms, pairs
 
 
 def hamiltonian_spectrum(
@@ -84,30 +114,47 @@ def hamiltonian_spectrum(
 ) -> Spectrum:
     """Enumerate every Hamiltonian circle and count labels exactly.
 
+    Circles are taken in the order of :func:`hamiltonian_circles`.  A tour
+    ``(1, *prefix, *suffix)`` splits into a prefix, looped over in
+    lexicographic order, and its last ``w = min(n - 2, 8)`` vertices, whose
+    orders are the columns of one cached permutation table.  For each
+    prefix one numpy pass XORs, per column, the prefix's label to the
+    suffix start, the suffix's own edges and the closing edge to vertex 1:
+    every circle's label is still the sum of its own n edges.  Tours whose
+    second vertex exceeds their last are masked out.  The cap on ``w``
+    keeps the table near 0.6 MB for any n a raised ``bound`` admits.
+
     ``witnesses`` additionally records the first circle found per label.
     """
     if g.n < 3:
         raise ValueError("need n >= 3 for Hamiltonian circles")
-    _check_bound(g.n, bound)
+    check_bound(g.n, bound)
     n = g.n
     rows = g.rows
+    w = min(n - 2, _SUFFIX_WIDTH)
+    perms, pairs = _suffix_tables(w)
+    first, last = perms[0], perms[-1]
+    square = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(n + 1, n + 1)
     counts = [0, 0, 0, 0]
     wit: dict[int, tuple[int, ...]] = {}
-    for second in range(2, n + 1):
-        rest = [v for v in range(2, n + 1) if v != second]
-        first_edge = rows[1][second]
-        for perm in permutations(rest):
-            if second > perm[-1]:
-                continue
-            acc = first_edge
-            prev = second
-            for v in perm:
-                acc ^= rows[prev][v]
-                prev = v
-            acc ^= rows[prev][1]
-            counts[acc] += 1
-            if witnesses and acc not in wit:
-                wit[acc] = (1, second) + perm
+    for prefix in permutations(range(2, n + 1), n - 1 - w):
+        rest = [v for v in range(2, n + 1) if v not in prefix]
+        acc = rows[1][prefix[0]]
+        for u, v in zip(prefix, prefix[1:]):
+            acc ^= rows[u][v]
+        inner = square[np.ix_(rest, rest)].ravel()
+        labels = (acc ^ square[prefix[-1], rest]).take(first) ^ square[rest, 1].take(last)
+        for row in pairs:
+            labels ^= inner.take(row)
+        # Label 4 marks the reflected duplicates, tours with second > last;
+        # ``rest`` is sorted, so those end at a position below ``lower``.
+        lower = sum(v < prefix[0] for v in rest)
+        labels[last < lower] = 4
+        for k, c in enumerate(np.bincount(labels, minlength=5)[:4].tolist()):
+            counts[k] += c
+            if witnesses and c and k not in wit:
+                column = perms[:, int(np.argmax(labels == k))]
+                wit[k] = (1, *prefix, *(rest[i] for i in column.tolist()))
     count_map = dict(zip(ELEMENTS, counts))
     witness_map = (
         {ELEMENTS[k]: Circle(tour) for k, tour in sorted(wit.items())} if witnesses else None
@@ -120,7 +167,7 @@ def hamiltonian_paths_spectrum(
 ) -> tuple[F22, ...]:
     """Sorted label multiset of all (n-1)! Hamiltonian paths from ``start``."""
     g.check_vertices(start)
-    _check_bound(g.n, bound)
+    check_bound(g.n, bound)
     rows = g.rows
     rest = [v for v in g.vertices() if v != start]
     out = []

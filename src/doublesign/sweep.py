@@ -1,9 +1,11 @@
 """Vectorized companions to the oracle for exhaustive and batch domains.
 
-The per-instance oracle is the readable reference; this module computes
-the same quantities for millions of instances at once with numpy so the
-full hub-normalized families (4^10 labelings at n = 6) stay in the
-seconds range.  Consumers cross-check sampled rows against the scalar
+The per-instance oracle is the reference: it enumerates one graph's
+circles from its own permutation table.  This module computes the same
+quantities for millions of instances at once with numpy, from the
+circle table :func:`~doublesign.oracle.circle_edge_indices`, so the full
+hub-normalized families (4^10 labelings at n = 6) stay in the seconds
+range.  Consumers cross-check sampled rows against the per-instance
 oracle, so the two routes stay independent checks on each other.
 
 Per instance the sweep reports bit masks over the four labels: which

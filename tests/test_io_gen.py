@@ -151,6 +151,38 @@ class TestCli:
             "k4: 46/126 all-distinct (4 star triples, 6 triangle triples)"
         )
 
+    def test_spectrum_output_is_pinned(self, capsys):
+        args = ["spectrum", "--random", "10", "--seed", "3", "--witness"]
+        assert main(args + ["--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"n": 10, "counts": {"e": 45152, "a": 45568, "b": 44800, "c": 45920}, '
+            '"realized": ["a", "b", "c", "e"], "witnesses": {"e": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], '
+            '"a": [1, 2, 3, 4, 5, 6, 7, 9, 8, 10], "b": [1, 2, 3, 4, 5, 6, 7, 8, 10, 9], '
+            '"c": [1, 2, 3, 4, 5, 6, 9, 8, 7, 10]}}\n'
+        )
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "n=10 circles=181440",
+            "counts: e=45152 a=45568 b=44800 c=45920",
+            "realized: a b c e",
+            "witness e: 1 2 3 4 5 6 7 8 9 10",
+            "witness a: 1 2 3 4 5 6 7 9 8 10",
+            "witness b: 1 2 3 4 5 6 7 8 10 9",
+            "witness c: 1 2 3 4 5 6 9 8 7 10",
+        ]
+
+    def test_spectrum_refuses_above_the_bound_before_generating(self, monkeypatch, capsys):
+        def no_graph(n, seed):
+            raise AssertionError(f"generated a graph on {n} vertices")
+
+        monkeypatch.setattr("doublesign.io_gen.gen_random", no_graph)
+        assert main(["spectrum", "--random", "100000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: n=100000 exceeds the enumeration bound 10; raise `bound` explicitly\n"
+        )
+        assert main(["spectrum", "--random", "12", "--bound", "11"]) == 2
+        assert "n=12 exceeds the enumeration bound 11" in capsys.readouterr().err
+
     def test_construct_refusal_exit_code(self, tmp_path):
         path = tmp_path / "g.txt"
         main(["gen", "--named", "identity(6)", "--out", str(path)])

@@ -137,6 +137,9 @@ def test_random_scope_graph_lemmas_pass():
     for lemma in ("lemma_b", "lemma_c", "case_beta", "case_alpha_forest", "lemma5"):
         report = verify(lemma, "random:6:120", seed=3)
         assert report.passed, (lemma, report.violations[:2])
+    for lemma in ("lemma_c", "case_beta"):
+        report = verify(lemma, "random:10:30", seed=3)
+        assert report.passed and report.scanned == 30, (lemma, report.violations[:2])
 
 
 def test_report_serializes_to_json():

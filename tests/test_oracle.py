@@ -1,20 +1,26 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from conftest import graph_from
 from doublesign import (
+    ELEMENTS,
     Circle,
     F22,
     Path,
+    SignedCompleteGraph,
     gen_random,
     hamiltonian_paths_spectrum,
     hamiltonian_spectrum,
     k4_path_report,
     named_instance,
+    predict_spectrum,
     walk_sign,
 )
+from doublesign import oracle
 from doublesign.lemma_lab import _canonical_sigma4star, k4_from_index
-from doublesign.oracle import hamiltonian_circle_count, hamiltonian_circles
+from doublesign.oracle import Spectrum, hamiltonian_circle_count, hamiltonian_circles
 
 
 def test_circle_counts():
@@ -48,6 +54,81 @@ def test_two_label_k6_spectrum_obeys_parity_pair():
 
     assert triangle_census(g).signs == {F22.A, F22.B}
     assert hamiltonian_spectrum(g).realized <= {F22.E, F22.C}
+
+
+def _scalar_spectrum(g, witnesses=True):
+    """The oracle's former pure-Python loop, kept as the reference."""
+    n = g.n
+    rows = g.rows
+    counts = [0, 0, 0, 0]
+    wit: dict[int, tuple[int, ...]] = {}
+    for second in range(2, n + 1):
+        rest = [v for v in range(2, n + 1) if v != second]
+        first_edge = rows[1][second]
+        for perm in permutations(rest):
+            if second > perm[-1]:
+                continue
+            acc = first_edge
+            prev = second
+            for v in perm:
+                acc ^= rows[prev][v]
+                prev = v
+            acc ^= rows[prev][1]
+            counts[acc] += 1
+            if witnesses and acc not in wit:
+                wit[acc] = (1, second) + perm
+    count_map = dict(zip(ELEMENTS, counts))
+    witness_map = (
+        {ELEMENTS[k]: Circle(tour) for k, tour in sorted(wit.items())} if witnesses else None
+    )
+    return Spectrum(count_map, witness_map)
+
+
+def _alphabet_graphs(n, count, seed):
+    """Labels over a random alphabet of 1 to 4 labels, drawn as the
+    benchmark's oracle workload draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        alphabet = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)
+        labels = rng.choice(alphabet, size=n * (n - 1) // 2).astype(np.uint8)
+        yield SignedCompleteGraph(n, labels.tobytes())
+
+
+def _assert_matches_reference(g):
+    spec = hamiltonian_spectrum(g, witnesses=True)
+    ref = _scalar_spectrum(g)
+    assert spec == ref
+    assert list(spec.witnesses) == list(ref.witnesses)
+    assert all(type(c) is int for c in spec.counts.values())
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_spectrum_matches_scalar_reference(n):
+    for g in _alphabet_graphs(n, 3 if n == 10 else 8, seed=100 + n):
+        _assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_narrow_suffix_runs_the_prefix_loop(width, monkeypatch):
+    # a narrow suffix leaves up to n - 2 prefix vertices for the Python loop
+    monkeypatch.setattr(oracle, "_SUFFIX_WIDTH", width)
+    for n in range(5, 10):
+        for g in _alphabet_graphs(n, 2, seed=10 * n + width):
+            _assert_matches_reference(g)
+
+
+def test_suffix_tables_stay_under_a_megabyte():
+    for w in range(1, oracle._SUFFIX_WIDTH + 1):
+        perms, pairs = oracle._suffix_tables(w)
+        assert perms.nbytes + pairs.nbytes <= 1 << 20
+        assert [tuple(c) for c in perms.T.tolist()] == list(permutations(range(w)))
+
+
+def test_spectrum_above_the_default_bound():
+    g = gen_random(11, 4)
+    spec = hamiltonian_spectrum(g, bound=11)
+    assert spec.total == 1_814_400 == hamiltonian_circle_count(11)
+    assert spec.realized == predict_spectrum(g).values
 
 
 def test_enumeration_bound_guard():
