@@ -2,11 +2,17 @@
 
 Each claim has a stable identifier and a verifier that re-derives it from
 group, graph, census, sweep and oracle primitives — never from the
-constructive solver — so a solver bug cannot vouch for itself.  Triangle
-and K4 labels come from :mod:`census`; spectra from the oracle or, on
-exhaustive families, from the vectorized sweep.  Exhaustive scopes
-enumerate their whole domain exactly once; random scopes draw seeded
-instances so a failing report can be replayed from its embedded seed.
+constructive solver — so a solver bug cannot vouch for itself.  The
+eight graph claims whose facts the vectorized sweep computes (``lemma1``,
+``lemma5``, ``case_alpha_forest`` and the five spectrum bounds) are each
+one reducer over :class:`sweep.BatchAnalysis` batches, whatever the
+scope: the hub-normalized family, the 4,096 K4 labelings, or seeded
+random rows (n <= the oracle's enumeration bound), so every scope runs
+the same body and records the same stats.  The other claims read their
+labels from :mod:`census` and their paths from the oracle.  Exhaustive
+scopes enumerate their whole domain exactly once; random scopes draw
+seeded instances so a failing report can be replayed from its embedded
+seed.
 
 Claim registry (see ``describe`` for one-line statements):
 
@@ -43,20 +49,11 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .census import (
-    TheoryViolationError,
-    classify_k4,
-    distinct_sign_edge_structure,
-    first_all_distinct_k4,
-    is_forest,
-    k4_label_counts,
-    triangle_census,
-)
-from .cycle_space import basis
+from .census import classify_k4, is_forest, triangle_census
 from .graph import SignedCompleteGraph, all_edges, triangle_sign
 from .group import ELEMENTS, F22, NONZERO, pair_sums
-from .io_gen import free_edges, gen_random, normalized_domain_size
-from .oracle import hamiltonian_paths_spectrum, hamiltonian_spectrum, k4_path_report
+from .io_gen import free_edges, gen_random, normalized_domain_size, random_sign_matrix
+from .oracle import ENUMERATION_BOUND, hamiltonian_paths_spectrum, k4_path_report
 from .switching import normalize_at
 from . import sweep as sweep_mod
 
@@ -119,27 +116,34 @@ class RandomScope:
 Scope = ExhaustiveK4 | ExhaustiveGroup | ExhaustiveNormalized | RandomScope
 
 
+#: Each scope kind with its class and the names of its integer arguments.
+_SCOPE_FORMS = {
+    "exhaustive_k4": (ExhaustiveK4, ()),
+    "exhaustive_group": (ExhaustiveGroup, ()),
+    "exhaustive_normalized": (ExhaustiveNormalized, ("N",)),
+    "random": (RandomScope, ("N", "COUNT")),
+}
+
+
 def parse_scope(text: str, seed: int = 0) -> Scope:
     """Parse a scope spec: ``exhaustive_k4``, ``exhaustive_group``,
-    ``exhaustive_normalized:N`` or ``random:N:COUNT``."""
-    parts = text.strip().replace("(", ":").rstrip(")").split(":")
-    kind = parts[0]
-    if kind == "exhaustive_k4":
-        return ExhaustiveK4()
-    if kind == "exhaustive_group":
-        return ExhaustiveGroup()
+    ``exhaustive_normalized:N`` (or ``exhaustive_normalized(N)``) or
+    ``random:N:COUNT``.  Any other text, trailing text included, is a
+    ``ValueError``."""
+    spec = text.strip()
+    if spec.endswith(")") and "(" in spec:
+        spec = spec[:-1].replace("(", ":", 1)
+    kind, *args = spec.split(":")
+    if kind not in _SCOPE_FORMS:
+        raise ValueError(f"unknown scope {text!r}")
+    cls, names = _SCOPE_FORMS[kind]
     try:
-        if kind == "exhaustive_normalized":
-            if len(parts) != 2:
-                raise ValueError("expected exhaustive_normalized:N")
-            return ExhaustiveNormalized(_scope_int(parts[1], "N"))
-        if kind == "random":
-            if len(parts) != 3:
-                raise ValueError("expected random:N:COUNT")
-            return RandomScope(_scope_int(parts[1], "N"), _scope_int(parts[2], "COUNT"), seed)
+        if len(args) != len(names):
+            raise ValueError("expected " + ":".join((kind, *names)))
+        values = [_scope_int(token, name) for token, name in zip(args, names)]
+        return RandomScope(*values, seed) if cls is RandomScope else cls(*values)
     except ValueError as exc:
         raise ValueError(f"scope {text!r}: {exc}") from None
-    raise ValueError(f"unknown scope {text!r}")
 
 
 def _scope_int(token: str, name: str) -> int:
@@ -245,94 +249,69 @@ def _graph_instances(scope: Scope) -> Iterable[tuple[int, SignedCompleteGraph]]:
         raise TypeError(f"not an instance scope: {scope}")
 
 
-def _verify_lemma1(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _batches(scope: Scope, jobs: int) -> Iterable[tuple[sweep_mod.BatchAnalysis, np.ndarray]]:
+    """The scope's rows as sweep batches, each with the keys naming its rows:
+    family or K4 indices, or the seeds of random instances."""
+    if isinstance(scope, ExhaustiveNormalized):
+        batch = sweep_mod.run_normalized_sweep(scope.n, jobs=jobs)
+        yield batch, np.arange(batch.size)
+    elif isinstance(scope, ExhaustiveK4):
+        index = np.arange(K4_DOMAIN_SIZE)
+        yield sweep_mod.analyze_sign_matrix(4, (index[:, None] >> 2 * np.arange(6)) & 3), index
+    else:
+        stop = scope.seed + scope.count
+        for start in range(scope.seed, stop, sweep_mod._CHUNK):
+            seeds = np.arange(start, min(start + sweep_mod._CHUNK, stop))
+            yield sweep_mod.analyze_sign_matrix(scope.n, random_sign_matrix(scope.n, seeds)), seeds
+
+
+def _sweep_claim(reduce: Callable, detail: str) -> Callable:
+    """A verifier running ``reduce(batch) -> (violating rows, stats)`` over
+    every batch of a scope, naming each violating row by its key."""
+
+    def verifier(scope: Scope, report: VerificationReport, jobs: int) -> None:
+        if isinstance(scope, RandomScope) and scope.n > ENUMERATION_BOUND:
+            raise ValueError(
+                f"{report.lemma} checks random scopes up to n = {ENUMERATION_BOUND}, "
+                f"got n = {scope.n}"
+            )
+        name = "instance" if isinstance(scope, RandomScope) else "index"
+        for batch, keys in _batches(scope, jobs):
+            bad, stats = reduce(batch)
+            report.scanned += len(keys)
+            for key in keys[bad]:
+                report.add_violation({name: int(key), "detail": detail})
+            for stat, count in stats.items():
+                report.stats[stat] = report.stats.get(stat, 0) + count
+
+    return verifier
+
+
+def _lemma1(b: sweep_mod.BatchAnalysis):
     """Diversity <= 3 forces every K4 to at most two triangle labels."""
-    if isinstance(scope, ExhaustiveNormalized):
-        sw = sweep_mod.run_normalized_sweep(scope.n, jobs=jobs)
-        report.scanned = sw.size
-        for idx in np.nonzero(sw.quad3)[0]:
-            report.add_violation({"index": int(idx), "detail": "K4 with exactly 3 labels"})
-        for idx in np.nonzero((sw.diversity <= 3) & sw.sigma4star)[0]:
-            report.add_violation(
-                {"index": int(idx), "detail": "diversity <= 3 with an all-distinct K4"}
-            )
-        report.stats["sigma4star_count"] = int(sw.sigma4star.sum())
-        return
-    for key, g in _graph_instances(scope):
-        report.scanned += 1
-        div = triangle_census(g).diversity
-        worst = max((k for _, k in k4_label_counts(g)), default=0)
-        if worst == 3:
-            report.add_violation({"instance": key, "detail": "K4 with exactly 3 labels"})
-        if div <= 3 and worst > 2:
-            report.add_violation(
-                {"instance": key, "detail": f"diversity {div} but a K4 has {worst} labels"}
-            )
+    bad = b.quad3 | ((b.diversity <= 3) & b.sigma4star)
+    return bad, {"sigma4star_count": int(b.sigma4star.sum())}
 
 
-def _verify_lemma5(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _lemma5(b: sweep_mod.BatchAnalysis):
     """With exactly three triangle labels, every hub basis realizes all three."""
-    if isinstance(scope, ExhaustiveNormalized):
-        sw = sweep_mod.run_normalized_sweep(scope.n, jobs=jobs)
-        report.scanned = sw.size
-        bad = np.nonzero((sw.diversity == 3) & (sw.edge_mask != sw.tri_mask))[0]
-        for idx in bad:
-            report.add_violation({"index": int(idx), "detail": "hub basis misses a label"})
-        report.stats["diversity3_count"] = int((sw.diversity == 3).sum())
-        return
-    for key, g in _graph_instances(scope):
-        report.scanned += 1
-        census = triangle_census(g)
-        if census.diversity != 3:
-            continue
-        for hub in g.vertices():
-            if set(basis(g, hub).signs) != census.signs:
-                report.add_violation(
-                    {"instance": key, "hub": hub, "detail": "basis misses a label"}
-                )
+    three = b.diversity == 3
+    bad = three & (b.hub_mask != b.tri_mask[:, None]).any(axis=1)
+    return bad, {"diversity3_count": int(three.sum())}
 
 
-#: Spectrum-bound claims: which instances each covers (from diversity and
-#: whether an all-distinct K4 exists), whether the Hamiltonian label set
-#: must equal the bound implied by the triangle labels or only lie inside
-#: it, and the violation text for a single instance.
-_SPECTRUM_BOUNDS = {
-    "lemma22": (lambda div, star: div <= 2, False, "parity bound broken"),
-    "remark1": (lambda div, star: div == 1, True, "forced label broken"),
-    "lemma_b": (lambda div, star: div == 3, True, "spectrum not full"),
-    "lemma_c": (lambda div, star: div == 4, True, "spectrum not full"),
-    "case_beta": (lambda div, star: star, True, "spectrum not full"),
-}
+def _spectrum_bound(covers: Callable, exact: bool) -> Callable:
+    """Reducer for a claim bounding the spectra of the rows ``covers``
+    selects: equal to the label set the triangle labels imply (``exact``),
+    or only inside it."""
 
+    def reduce(b: sweep_mod.BatchAnalysis):
+        allowed = sweep_mod.allowed_spectrum_mask(b.tri_mask, b.n)
+        qualifying = covers(b)
+        broken = b.spec_mask != allowed if exact else (b.spec_mask & ~allowed) != 0
+        return qualifying & broken, {"qualifying": int(qualifying.sum())}
 
-def _breaks_bound(spec_mask, allowed, exact: bool):
-    if exact:
-        return spec_mask != allowed
-    return (spec_mask & ~allowed) != 0
-
-
-def _spectrum_bound_violations(scope: Scope, report: VerificationReport, jobs: int) -> None:
-    """Shared body for lemma22 / remark1 / lemma_b / lemma_c / case_beta."""
-    covers, exact, detail = _SPECTRUM_BOUNDS[report.lemma]
-    if isinstance(scope, ExhaustiveNormalized):
-        sw = sweep_mod.run_normalized_sweep(scope.n, jobs=jobs)
-        report.scanned = sw.size
-        allowed = sweep_mod.allowed_spectrum_mask(sw.tri_mask, scope.n)
-        mask = covers(sw.diversity, sw.sigma4star)
-        report.stats["qualifying"] = int(mask.sum())
-        for idx in np.nonzero(mask & _breaks_bound(sw.spec_mask, allowed, exact))[0]:
-            report.add_violation({"index": int(idx), "detail": f"{report.lemma} spectrum bound"})
-        return
-    for key, g in _graph_instances(scope):
-        report.scanned += 1
-        census = triangle_census(g)
-        if not covers(census.diversity, first_all_distinct_k4(g) is not None):
-            continue
-        tri_mask = np.array([sum(1 << s for s in census.signs)], dtype=np.uint8)
-        allowed = int(sweep_mod.allowed_spectrum_mask(tri_mask, g.n)[0])
-        spec_mask = sum(1 << s for s in hamiltonian_spectrum(g).realized)
-        if _breaks_bound(spec_mask, allowed, exact):
-            report.add_violation({"instance": key, "detail": detail})
+    return reduce
 
 
 def _verify_proposition_norm(scope: Scope, report: VerificationReport, jobs: int) -> None:
@@ -573,42 +552,15 @@ def _verify_thm11(scope: Scope, report: VerificationReport, jobs: int) -> None:
             )
 
 
-def _verify_case_alpha_forest(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _case_alpha_forest(b: sweep_mod.BatchAnalysis):
     """Diversity 4 without an all-distinct K4: the per-label least edges
     off a normalized hub exist and form a forest."""
-    if isinstance(scope, ExhaustiveNormalized):
-        sw = sweep_mod.run_normalized_sweep(scope.n, jobs=jobs)
-        report.scanned = sw.size
-        qualifying = (sw.diversity == 4) & ~sw.sigma4star
-        report.stats["qualifying"] = int(qualifying.sum())
-        if not qualifying.any():
-            return
-        missing = qualifying & (sw.edge_mask != 15)
-        for idx in np.nonzero(missing)[0]:
-            report.add_violation({"index": int(idx), "detail": "a label is missing off-hub"})
-        fe = free_edges(scope.n)
-        m = len(fe)
-        lut = np.zeros(m ** 4, dtype=bool)
-        for key in range(m ** 4):
-            lut[key] = is_forest([fe[(key // m**p) % m] for p in range(4)])
-        f = sw.first_edge.astype(np.int64)
-        keys = f[:, 0] + m * f[:, 1] + m * m * f[:, 2] + m ** 3 * f[:, 3]
-        good = lut[keys]
-        bad = qualifying & (sw.edge_mask == 15) & ~good
-        for idx in np.nonzero(bad)[0]:
-            report.add_violation({"index": int(idx), "detail": "witness edges contain a cycle"})
-        return
-    for key, g in _graph_instances(scope):
-        report.scanned += 1
-        if triangle_census(g).diversity != 4 or first_all_distinct_k4(g) is not None:
-            continue
-        report.stats["qualifying"] = report.stats.get("qualifying", 0) + 1
-        try:
-            distinct_sign_edge_structure(g, 1)
-        except TheoryViolationError:
-            report.add_violation({"instance": key, "detail": "witness edges contain a cycle"})
-        except ValueError as exc:
-            report.add_violation({"instance": key, "detail": str(exc)})
+    qualifying = (b.diversity == 4) & ~b.sigma4star
+    bad = qualifying & (b.edge_mask != 15)
+    edges = free_edges(b.n)
+    for r in np.nonzero(qualifying & ~bad)[0]:
+        bad[r] = not is_forest([edges[k] for k in b.first_edge[r]])
+    return bad, {"qualifying": int(qualifying.sum())}
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +570,18 @@ def _verify_case_alpha_forest(scope: Scope, report: VerificationReport, jobs: in
 _GRAPH_SCOPES = (ExhaustiveK4, ExhaustiveNormalized, RandomScope)
 
 _REGISTRY: dict[str, tuple[Callable, tuple, str]] = {
-    "lemma1": (_verify_lemma1, _GRAPH_SCOPES,
+    "lemma1": (_sweep_claim(_lemma1, "a K4 with 3 labels, or 4 at diversity <= 3"),
+               _GRAPH_SCOPES,
                "diversity <= 3 forces every K4 to at most two triangle labels"),
-    "lemma5": (_verify_lemma5, (ExhaustiveNormalized, RandomScope),
+    "lemma5": (_sweep_claim(_lemma5, "a hub basis misses a label"),
+               (ExhaustiveNormalized, RandomScope),
                "diversity 3 means every hub basis realizes all three labels"),
-    "lemma22": (_spectrum_bound_violations,
+    "lemma22": (_sweep_claim(_spectrum_bound(lambda b: b.diversity <= 2, False),
+                             "parity bound broken"),
                 (ExhaustiveNormalized, RandomScope),
                 "diversity <= 2 bounds the spectrum by the parity pair"),
-    "remark1": (_spectrum_bound_violations,
+    "remark1": (_sweep_claim(_spectrum_bound(lambda b: b.diversity == 1, True),
+                             "forced label broken"),
                 (ExhaustiveNormalized, RandomScope),
                 "diversity 1 pins the spectrum to one forced label"),
     "proposition_norm": (_verify_proposition_norm, (ExhaustiveK4, RandomScope),
@@ -646,15 +602,20 @@ _REGISTRY: dict[str, tuple[Callable, tuple, str]] = {
                    "equal 2-2-2 multisets <=> common-label triple <=> missing path label"),
     "thm11": (_verify_thm11, (ExhaustiveK4,),
               "a four-label start exists iff there is no common-label triple"),
-    "lemma_b": (_spectrum_bound_violations,
+    "lemma_b": (_sweep_claim(_spectrum_bound(lambda b: b.diversity == 3, True),
+                             "spectrum not full"),
                 (ExhaustiveNormalized, RandomScope),
                 "exactly three triangle labels give the full spectrum (n > 5)"),
-    "lemma_c": (_spectrum_bound_violations,
+    "lemma_c": (_sweep_claim(_spectrum_bound(lambda b: b.diversity == 4, True),
+                             "spectrum not full"),
                 (ExhaustiveNormalized, RandomScope),
                 "four triangle labels give the full spectrum (n > 5)"),
-    "case_alpha_forest": (_verify_case_alpha_forest, (ExhaustiveNormalized, RandomScope),
+    "case_alpha_forest": (_sweep_claim(_case_alpha_forest,
+                                       "witness edges missing or containing a cycle"),
+                          (ExhaustiveNormalized, RandomScope),
                           "the four per-label witness edges form a forest"),
-    "case_beta": (_spectrum_bound_violations,
+    "case_beta": (_sweep_claim(_spectrum_bound(lambda b: b.sigma4star, True),
+                               "spectrum not full"),
                   (ExhaustiveNormalized, RandomScope),
                   "an all-distinct K4 gives the full spectrum (n > 5)"),
 }
@@ -687,8 +648,10 @@ def verify(
     """Check one claim over one domain and report violations verbatim.
 
     Exhaustive scopes above :data:`MAX_EXHAUSTIVE` instances are refused
-    unless ``force`` is set.  Random scopes embed their seed in the
-    report, so any violation can be replayed.
+    unless ``force`` is set, and random scopes of the sweep-backed claims
+    above the oracle's enumeration bound before any row is drawn.  Random
+    scopes embed their seed in the report, so any violation can be
+    replayed.
     """
     if lemma_id not in _REGISTRY:
         raise KeyError(f"unknown claim id {lemma_id!r}")

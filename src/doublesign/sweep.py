@@ -9,10 +9,13 @@ range.  Consumers cross-check sampled rows against the per-instance
 oracle, so the two routes stay independent checks on each other.
 
 Per instance the sweep reports bit masks over the four labels: which
-labels some triangle realizes (``tri_mask``), which labels some
-Hamiltonian circle realizes (``spec_mask``), plus triangle diversity,
-whether any K4 has four distinct triangle labels, and where the first
-non-hub edge of each label sits.
+labels some triangle realizes (``tri_mask``), which labels the triangles
+through each hub realize (``hub_mask``), which labels some Hamiltonian
+circle realizes (``spec_mask``), plus triangle diversity, whether any K4
+has four distinct triangle labels, and where the first hub-1 triangle of
+each label sits.  Normalized at vertex 1, edge u-w carries the label of
+triangle 1-u-w, so the hub-1 facts are the non-hub edge facts of the
+hub-normalized family, read off any row without normalizing it.
 
 Callers pass one row per instance.  The kernel works column-major: each
 batch is transposed once into one contiguous uint8 row per edge, the
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -52,6 +56,18 @@ class BatchAnalysis:
     spec_mask: np.ndarray
     sigma4star: np.ndarray  # some K4 has four distinct triangle labels
     quad3: np.ndarray  # some K4 has exactly three (provably impossible)
+    hub_mask: np.ndarray  # (rows, n): labels of the triangles through each vertex
+    first_edge: np.ndarray  # (rows, 4): first hub-1 triangle (free-edge position) per label
+
+    @property
+    def size(self) -> int:
+        return len(self.diversity)
+
+    @property
+    def edge_mask(self) -> np.ndarray:
+        """Labels of the hub-1 triangles: the non-hub edge labels of a
+        row normalized at vertex 1."""
+        return self.hub_mask[:, 0]
 
 
 def _analyze_columns(n: int, cols: np.ndarray) -> BatchAnalysis:
@@ -67,6 +83,18 @@ def _analyze_columns(n: int, cols: np.ndarray) -> BatchAnalysis:
     np.left_shift(_ONE, tri_bits, out=tri_bits)
     tri_mask = np.bitwise_or.reduce(tri_bits, axis=0)
     diversity = POPCOUNT4[tri_mask]
+
+    hub_mask = np.zeros((n, rows), dtype=np.uint8)
+    for t, (triple, _) in enumerate(tris):
+        for v in triple:
+            hub_mask[v - 1] |= tri_bits[t]
+    # The hub-1 triangles come first, in free-edge order.  Walk them last
+    # to first, so each label ends at its first triangle; a label that no
+    # hub-1 triangle carries reads 0.
+    first_edge = np.zeros((4, rows), dtype=np.uint8)
+    for k in range(len(free_edges(n)) - 1, -1, -1):
+        for label in range(4):
+            np.copyto(first_edge[label], k, where=tri_bits[k] == (1 << label))
 
     spec_mask = np.zeros(rows, dtype=np.uint8)
     acc = np.empty(rows, dtype=np.uint8)
@@ -88,7 +116,9 @@ def _analyze_columns(n: int, cols: np.ndarray) -> BatchAnalysis:
         seen |= qmask
     sigma4star = (seen & (1 << 4)) != 0
     quad3 = (seen & (1 << 3)) != 0
-    return BatchAnalysis(n, diversity, tri_mask, spec_mask, sigma4star, quad3)
+    return BatchAnalysis(
+        n, diversity, tri_mask, spec_mask, sigma4star, quad3, hub_mask.T, first_edge.T
+    )
 
 
 def _check_enumeration_bound(n: int) -> None:
@@ -121,16 +151,6 @@ def analyze_sign_matrix(n: int, signs: np.ndarray) -> BatchAnalysis:
     return _analyze_columns(n, np.ascontiguousarray(signs.T, dtype=np.uint8))
 
 
-@dataclass
-class NormalizedSweep(BatchAnalysis):
-    """Batch facts for a contiguous index range of the normalized family."""
-
-    start: int
-    size: int
-    edge_mask: np.ndarray  # labels realized by non-hub edges
-    first_edge: np.ndarray  # (size, 4): first free-edge position per label
-
-
 def signs_from_indices(n: int, indices: np.ndarray) -> np.ndarray:
     """Full triangular sign matrix of hub-normalized labeling indices.
 
@@ -144,27 +164,14 @@ def signs_from_indices(n: int, indices: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_range(n: int, start: int, stop: int) -> NormalizedSweep:
-    idx = np.arange(start, stop, dtype=np.int64)
-    cols = np.ascontiguousarray(signs_from_indices(n, idx).T)
-    base = _analyze_columns(n, cols)
-
-    free_bits = cols[[edge_index(n, u, v) for u, v in free_edges(n)]]
-    np.left_shift(_ONE, free_bits, out=free_bits)
-    edge_mask = np.bitwise_or.reduce(free_bits, axis=0)
-    # Walk the free edges last to first, so each label ends at its first
-    # edge; a label that no free edge carries reads 0.
-    first_edge = np.zeros((4, len(idx)), dtype=np.uint8)
-    for k in range(len(free_bits) - 1, -1, -1):
-        for label in range(4):
-            np.copyto(first_edge[label], k, where=free_bits[k] == (1 << label))
-    return NormalizedSweep(
-        **vars(base), start=start, size=stop - start, edge_mask=edge_mask, first_edge=first_edge.T
-    )
+def _sweep_chunk(n: int, start: int, stop: int) -> BatchAnalysis:
+    """The family rows [start, min(start + _CHUNK, stop))."""
+    idx = np.arange(start, min(start + _CHUNK, stop), dtype=np.int64)
+    return _analyze_columns(n, np.ascontiguousarray(signs_from_indices(n, idx).T))
 
 
 #: Whole families of at most 4^10 rows, by n; sub-ranges are never kept.
-_SWEEP_CACHE: dict[int, NormalizedSweep] = {}
+_SWEEP_CACHE: dict[int, BatchAnalysis] = {}
 
 #: Rows per sweep chunk: bounds the working arrays of one chunk and is the
 #: unit of work handed to each worker process.
@@ -177,10 +184,10 @@ def run_normalized_sweep(
     stop: int | None = None,
     *,
     jobs: int = 1,
-) -> NormalizedSweep:
+) -> BatchAnalysis:
     """Sweep an index range of the hub-normalized family (default: all).
 
-    The range is processed in chunks of :data:`_CHUNK` rows, by worker
+    The range is walked lazily in chunks of :data:`_CHUNK` rows, by worker
     processes when ``jobs > 1``, and the results concatenated in index
     order; the output is identical to a single-worker run, so whole
     families of at most 4^10 rows are cached.  Raises ``ValueError`` for
@@ -195,21 +202,17 @@ def run_normalized_sweep(
     whole = start == 0 and stop == total and total <= 4 ** 10
     if whole and n in _SWEEP_CACHE:
         return _SWEEP_CACHE[n]
-    ranges = [(s, min(s + _CHUNK, stop)) for s in range(start, stop, _CHUNK)]
-    if not ranges:
-        ranges = [(start, stop)]
-    if jobs <= 1 or len(ranges) == 1:
-        parts = [_sweep_range(n, a, b) for a, b in ranges]
+    # An empty range is swept as one empty chunk.
+    starts = range(start, stop, _CHUNK) or range(start, start + 1)
+    if jobs <= 1 or len(starts) == 1:
+        parts = [_sweep_chunk(n, a, stop) for a in starts]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_range, n, a, b) for a, b in ranges]
-            parts = [f.result() for f in futures]
-    arrays = {
-        f.name: np.concatenate([getattr(p, f.name) for p in parts])
-        for f in fields(NormalizedSweep)
-        if f.name not in ("n", "start", "size")
-    }
-    result = NormalizedSweep(n=n, start=start, size=stop - start, **arrays)
+            parts = list(pool.map(_sweep_chunk, repeat(n), starts, repeat(stop)))
+    arrays = [f.name for f in fields(BatchAnalysis)[1:]]
+    result = parts[0] if len(parts) == 1 else BatchAnalysis(
+        n, *(np.concatenate([getattr(p, name) for p in parts]) for name in arrays)
+    )
     if whole:
         _SWEEP_CACHE[n] = result
     return result

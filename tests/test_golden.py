@@ -9,7 +9,8 @@ random n = 7 rows.  A refactor passes only if every entry
 comes out unchanged; a mismatch names the first entry that differs.
 
 After an intended change of output, regenerate the data file with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py``, which prints every entry
+it changes, adds or removes before writing, and review the diff.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ CLAIM_SCOPES = (
 SWEEP_ARRAYS = (
     "diversity", "tri_mask", "spec_mask", "sigma4star", "quad3", "edge_mask", "first_edge",
 )
-BATCH_ARRAYS = SWEEP_ARRAYS[:5]  # the fields of a BatchAnalysis
+BATCH_ARRAYS = SWEEP_ARRAYS[:5]  # the label, spectrum and K4 facts of a batch
 
 #: The first 65,536-row chunk of the 4^15 n = 7 family and one from its middle.
 N7_CHUNKS = ((0, 1 << 16), (1 << 29, (1 << 29) + (1 << 16)))
@@ -180,6 +181,15 @@ def test_golden_corpus_is_unchanged(section):
 
 
 if __name__ == "__main__":
-    DATA.write_text(
-        json.dumps({s: _section_digests(s) for s in SECTIONS}, indent=0) + "\n"
-    )
+    old = json.loads(DATA.read_text()) if DATA.exists() else {}
+    new = {s: _section_digests(s) for s in SECTIONS}
+    for section, digests in new.items():
+        before = old.get(section, {})
+        for name in sorted(before.keys() | digests.keys()):
+            if name not in digests:
+                print(f"removed {section}/{name}")
+            elif name not in before:
+                print(f"added {section}/{name}")
+            elif before[name] != digests[name]:
+                print(f"changed {section}/{name}")
+    DATA.write_text(json.dumps(new, indent=0) + "\n")

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from doublesign import lemma_ids, verify
+from doublesign import io_gen, lemma_lab, lemma_ids, verify
 from doublesign.cli import main
 from doublesign.lemma_lab import (
+    MAX_STORED_VIOLATIONS,
     ExhaustiveGroup,
     ExhaustiveK4,
     ExhaustiveNormalized,
@@ -32,10 +35,10 @@ def test_parse_scope_forms():
     assert parse_scope("exhaustive_normalized:5") == ExhaustiveNormalized(5)
     assert parse_scope("exhaustive_normalized(5)") == ExhaustiveNormalized(5)
     assert parse_scope("random:7:100", seed=9) == RandomScope(7, 100, 9)
-    with pytest.raises(ValueError):
-        parse_scope("everything")
-    with pytest.raises(ValueError):
-        parse_scope("random:7")
+    for bad in ("everything", "random:7", "exhaustive_k4:5", "exhaustive_group:junk",
+                "random:7:100)", "exhaustive_normalized:5)"):
+        with pytest.raises(ValueError):
+            parse_scope(bad)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +143,79 @@ def test_random_scope_graph_lemmas_pass():
     for lemma in ("lemma_c", "case_beta"):
         report = verify(lemma, "random:10:30", seed=3)
         assert report.passed and report.scanned == 30, (lemma, report.violations[:2])
+
+
+SWEEP_CLAIMS = ("lemma1", "lemma5", "lemma22", "remark1", "lemma_b", "lemma_c",
+                "case_beta", "case_alpha_forest")
+
+
+def test_random_scopes_above_the_enumeration_bound_are_refused_before_any_row(
+        monkeypatch, capsys):
+    def no_rows(*args):
+        raise AssertionError("rows generated for a refused scope")
+
+    monkeypatch.setattr(io_gen, "random_sign_matrix", no_rows)
+    monkeypatch.setattr(lemma_lab, "random_sign_matrix", no_rows)
+    for lemma in SWEEP_CLAIMS:
+        with pytest.raises(ValueError, match=f"{lemma} checks random scopes up to n = 10"):
+            verify(lemma, "random:11:5")
+    assert main(["verify", "--lemma", "lemma_b", "--scope", "random:12:50"]) == 2
+    assert "lemma_b checks random scopes up to n = 10, got n = 12" in capsys.readouterr().err
+
+
+#: Per claim (and case), field values that make an n = 6 batch row break
+#: it: an all-distinct K4 at diversity 3, a K4 with three labels, a
+#: diversity-3 row whose last hub sees only two, spectra outside or short
+#: of the law, and four witness edges around the triangle 2-3-4.
+CORRUPTIONS = {
+    "lemma1": {"diversity": 3, "tri_mask": 7, "sigma4star": True},
+    "lemma1/quad3": {"quad3": True},
+    "lemma5": {"diversity": 3, "tri_mask": 7, "hub_mask": (7, 7, 7, 7, 7, 3)},
+    "lemma22": {"diversity": 2, "tri_mask": 3, "spec_mask": 15},
+    "remark1": {"diversity": 1, "tri_mask": 1, "spec_mask": 15},
+    "lemma_b": {"diversity": 3, "tri_mask": 7, "spec_mask": 7},
+    "lemma_c": {"diversity": 4, "tri_mask": 15, "spec_mask": 7},
+    "case_beta": {"diversity": 4, "tri_mask": 15, "sigma4star": True, "spec_mask": 7},
+    "case_alpha_forest": {"diversity": 4, "tri_mask": 15, "sigma4star": False,
+                          "hub_mask": 15, "first_edge": (0, 1, 4, 2)},
+}
+
+
+@pytest.mark.parametrize("scope,key", [("exhaustive_normalized:6", "index"),
+                                       ("random:6:40", "instance")])
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_a_corrupted_batch_row_is_reported_by_its_key(case, scope, key, monkeypatch):
+    lemma = case.split("/")[0]
+    batches = lemma_lab._batches
+
+    def corrupted(rows):
+        def source(scope, jobs):
+            for batch, keys in batches(scope, jobs):
+                copy = dataclasses.replace(batch, **{
+                    f.name: getattr(batch, f.name).copy()
+                    for f in dataclasses.fields(batch) if f.name != "n"
+                })
+                for name, value in CORRUPTIONS[case].items():
+                    getattr(copy, name)[rows] = value
+                yield copy, keys
+        return source
+
+    clean = verify(lemma, scope, seed=5)
+    assert clean.passed
+    _, keys = next(batches(lemma_lab.parse_scope(scope, seed=5), 1))
+    monkeypatch.setattr(lemma_lab, "_batches", corrupted([17]))
+    report = verify(lemma, scope, seed=5)
+    assert report.violation_count == 1
+    assert [v[key] for v in report.violations] == [int(keys[17])]
+    monkeypatch.setattr(lemma_lab, "_batches", corrupted(np.arange(2, 32)))
+    report = verify(lemma, scope, seed=5)
+    assert report.violation_count == 30
+    assert [v[key] for v in report.violations] == keys[2:2 + MAX_STORED_VIOLATIONS].tolist()
+    assert len({v["detail"] for v in report.violations}) == 1
+    assert report.stats.keys() == clean.stats.keys()
+    monkeypatch.undo()
+    assert verify(lemma, scope, seed=5).to_dict() | {"elapsed_seconds": 0} == (
+        clean.to_dict() | {"elapsed_seconds": 0})  # the cached family is untouched
 
 
 def test_report_serializes_to_json():

@@ -211,24 +211,49 @@ def test_spectrum_invariance_under_switching_and_relabeling():
         assert hamiltonian_spectrum(relabeled).counts == hamiltonian_spectrum(g).counts
 
 
-def test_vectorized_sweep_matches_scalar_oracle():
+@pytest.mark.parametrize("scope,seed", [
+    ("exhaustive_normalized:5", 0), ("random:6:120", 3), ("random:7:20", 0), ("exhaustive_k4", 0),
+])
+def test_vectorized_sweep_matches_scalar_oracle(scope, seed):
+    """Every field of the claims' batch record against the scalar routes."""
     from doublesign import instance_from_index, triangle_census
-    from doublesign.census import first_all_distinct_k4
-    from doublesign.sweep import run_normalized_sweep, signs_from_indices
+    from doublesign.census import distinct_sign_edge_structure, k4_label_counts
+    from doublesign.cycle_space import basis
+    from doublesign.io_gen import free_edges
+    from doublesign.lemma_lab import _batches, parse_scope
+    from doublesign.sweep import signs_from_indices
 
-    sw = run_normalized_sweep(5)
-    rng = np.random.default_rng(11)
-    for i in rng.integers(0, sw.size, 120):
-        g = instance_from_index(5, int(i))
+    parsed = parse_scope(scope, seed)
+    (batch, keys), = _batches(parsed, 1)
+    graph = {
+        "exhaustive_normalized": lambda key: instance_from_index(parsed.n, key),
+        "random": lambda key: gen_random(parsed.n, key),
+        "exhaustive_k4": k4_from_index,
+    }[scope.split(":")[0]]
+    rows = range(len(keys))
+    if scope.startswith("exhaustive_normalized"):
+        rows = np.random.default_rng(11).integers(0, batch.size, 120)
+        picked = np.array([0, 17, 4095])
+        for row, idx in zip(signs_from_indices(5, picked), picked):
+            assert bytes(row) == instance_from_index(5, int(idx))._signs
+    for r in rows:
+        g = graph(int(keys[r]))
         c = triangle_census(g)
-        assert sw.diversity[i] == c.diversity
-        assert sw.tri_mask[i] == sum(1 << int(s) for s in c.signs)
-        assert sw.sigma4star[i] == (first_all_distinct_k4(g) is not None)
+        assert batch.diversity[r] == c.diversity
+        assert batch.tri_mask[r] == sum(1 << int(s) for s in c.signs)
+        k4_counts = {k for _, k in k4_label_counts(g)}
+        assert batch.sigma4star[r] == (4 in k4_counts)
+        assert batch.quad3[r] == (3 in k4_counts)
+        hub_signs = [basis(g, hub).signs for hub in g.vertices()]
+        assert batch.hub_mask[r].tolist() == [sum(1 << int(s) for s in set(signs))
+                                              for signs in hub_signs]
+        first = [hub_signs[0].index(s) if s in hub_signs[0] else 0 for s in ELEMENTS]
+        assert batch.first_edge[r].tolist() == first
+        if batch.edge_mask[r] == 15 and not batch.sigma4star[r]:  # the edges form a forest
+            structure = distinct_sign_edge_structure(g, 1)
+            assert [free_edges(g.n).index(structure.edges_by_sign[s]) for s in ELEMENTS] == first
         spec = hamiltonian_spectrum(g)
-        assert sw.spec_mask[i] == sum(1 << int(s) for s in spec.realized)
-    rows = signs_from_indices(5, np.array([0, 17, 4095]))
-    for row, idx in zip(rows, (0, 17, 4095)):
-        assert bytes(row) == instance_from_index(5, idx)._signs
+        assert batch.spec_mask[r] == sum(1 << int(s) for s in spec.realized)
 
 
 @pytest.mark.parametrize("chunk", ["first", "seeded", "switched"])
