@@ -211,49 +211,56 @@ def test_spectrum_invariance_under_switching_and_relabeling():
         assert hamiltonian_spectrum(relabeled).counts == hamiltonian_spectrum(g).counts
 
 
-@pytest.mark.parametrize("scope,seed", [
-    ("exhaustive_normalized:5", 0), ("random:6:120", 3), ("random:7:20", 0), ("exhaustive_k4", 0),
-])
-def test_vectorized_sweep_matches_scalar_oracle(scope, seed):
-    """Every field of the claims' batch record against the scalar routes."""
-    from doublesign import instance_from_index, triangle_census
+def _scalar_record(g):
+    """The batch record's fields for one graph, from the scalar routes."""
+    from doublesign import triangle_census
     from doublesign.census import distinct_sign_edge_structure, k4_label_counts
     from doublesign.cycle_space import basis
     from doublesign.io_gen import free_edges
+
+    census = triangle_census(g)
+    k4_counts = {k for _, k in k4_label_counts(g)}
+    hub_signs = [basis(g, hub).signs for hub in g.vertices()]
+    first = [hub_signs[0].index(s) if s in hub_signs[0] else 0 for s in ELEMENTS]
+    if set(hub_signs[0]) == set(ELEMENTS) and 4 not in k4_counts:  # the edges form a forest
+        edges = distinct_sign_edge_structure(g, 1).edges_by_sign
+        assert [free_edges(g.n).index(edges[s]) for s in ELEMENTS] == first
+    return {
+        "diversity": census.diversity,
+        "tri_mask": sum(1 << int(s) for s in census.signs),
+        "sigma4star": 4 in k4_counts,
+        "quad3": 3 in k4_counts,
+        "hub_mask": [sum(1 << int(s) for s in set(signs)) for signs in hub_signs],
+        "first_edge": first,
+        "spec_mask": sum(1 << int(s) for s in hamiltonian_spectrum(g).realized),
+    }
+
+
+def test_vectorized_sweep_matches_scalar_oracle():
+    """Every field of the claims' batch record against the scalar routes, on
+    sampled n = 5 family rows, the rows of two random scopes and all K4s."""
+    from doublesign import instance_from_index
     from doublesign.lemma_lab import _batches, parse_scope
     from doublesign.sweep import signs_from_indices
 
-    parsed = parse_scope(scope, seed)
-    (batch, keys), = _batches(parsed, 1)
-    graph = {
-        "exhaustive_normalized": lambda key: instance_from_index(parsed.n, key),
-        "random": lambda key: gen_random(parsed.n, key),
-        "exhaustive_k4": k4_from_index,
-    }[scope.split(":")[0]]
-    rows = range(len(keys))
-    if scope.startswith("exhaustive_normalized"):
-        rows = np.random.default_rng(11).integers(0, batch.size, 120)
-        picked = np.array([0, 17, 4095])
-        for row, idx in zip(signs_from_indices(5, picked), picked):
-            assert bytes(row) == instance_from_index(5, int(idx))._signs
-    for r in rows:
-        g = graph(int(keys[r]))
-        c = triangle_census(g)
-        assert batch.diversity[r] == c.diversity
-        assert batch.tri_mask[r] == sum(1 << int(s) for s in c.signs)
-        k4_counts = {k for _, k in k4_label_counts(g)}
-        assert batch.sigma4star[r] == (4 in k4_counts)
-        assert batch.quad3[r] == (3 in k4_counts)
-        hub_signs = [basis(g, hub).signs for hub in g.vertices()]
-        assert batch.hub_mask[r].tolist() == [sum(1 << int(s) for s in set(signs))
-                                              for signs in hub_signs]
-        first = [hub_signs[0].index(s) if s in hub_signs[0] else 0 for s in ELEMENTS]
-        assert batch.first_edge[r].tolist() == first
-        if batch.edge_mask[r] == 15 and not batch.sigma4star[r]:  # the edges form a forest
-            structure = distinct_sign_edge_structure(g, 1)
-            assert [free_edges(g.n).index(structure.edges_by_sign[s]) for s in ELEMENTS] == first
-        spec = hamiltonian_spectrum(g)
-        assert batch.spec_mask[r] == sum(1 << int(s) for s in spec.realized)
+    for scope, seed, graph in (
+        ("exhaustive_normalized:5", 0, lambda key: instance_from_index(5, key)),
+        ("random:6:120", 3, lambda key: gen_random(6, key)),
+        ("random:7:20", 0, lambda key: gen_random(7, key)),
+        ("exhaustive_k4", 0, k4_from_index),
+    ):
+        (batch, keys), = _batches(parse_scope(scope, seed), 1)
+        rows = range(len(keys))
+        if scope == "exhaustive_normalized:5":
+            rows = np.random.default_rng(11).integers(0, batch.size, 120)
+        for r in rows:
+            got = {name: getattr(batch, name)[r].tolist() for name in (
+                "diversity", "tri_mask", "sigma4star", "quad3", "hub_mask", "first_edge",
+                "spec_mask")}
+            assert got == _scalar_record(graph(int(keys[r]))), (scope, int(keys[r]))
+    rows = signs_from_indices(5, np.array([0, 17, 4095]))
+    for row, idx in zip(rows, (0, 17, 4095)):
+        assert bytes(row) == instance_from_index(5, idx)._signs
 
 
 @pytest.mark.parametrize("chunk", ["first", "seeded", "switched"])
