@@ -197,6 +197,32 @@ def find_consecutive_distinct_triple(
     The triangles hub-a-b, hub-b-c, hub-c-d share successive hub edges;
     the finder returns the lexicographically smallest tuple for which
     their three labels are pairwise distinct, or None.
+
+    For n >= 6 it returns None exactly when the triangles through the
+    hub carry at most two labels, and then every triangle does, so on an
+    instance of diversity >= 3 it succeeds at every hub.  Proof:
+
+    1. A triangle u-v-w avoiding the hub has label T(hub, u, v) +
+       T(hub, v, w) + T(hub, u, w), since each hub edge is counted twice.
+       A set of at most two labels is closed under sums of three of its
+       elements, so if the hub triangles carry at most two labels, every
+       triangle does.
+    2. Colour each edge u-w of the K_m, m = n - 1, on the other vertices
+       by T(hub, u, w).  A chained triple is a path a-b-c-d whose three
+       edges have three different colours; call it rainbow.  With at most
+       two colours there is none.  With three or more, merge colours until
+       exactly three remain: a rainbow path after merging is one before.
+    3. Every 3-colouring of K_5 that uses all three colours has a rainbow
+       path (checked over all 3^10 colourings in the tests).
+    4. Suppose K_m, m >= 6, uses three colours and has no rainbow path.
+       By induction each K_m - v uses at most two, so every vertex v
+       lies on every edge of some colour c(v).  Two vertices with the
+       same c(v) make that colour class a single edge, and three cannot
+       share one, so m <= 6; at m = 6 only three edges would be coloured,
+       but K_6 has 15.
+
+    At n = 5 the bound fails: three colours on the perfect matchings of
+    K_4 leave no rainbow path.
     """
     if g.n < 5:
         raise ValueError("need n >= 5 for a consecutive triple")
@@ -218,41 +244,6 @@ def find_consecutive_distinct_triple(
                     t3 = tri(c, d)
                     if t3 != t1 and t3 != t2:
                         return (a, b, c, d)
-    return None
-
-
-def find_shared_edge_config(
-    g: SignedCompleteGraph, hub: int, signs3: Sequence[F22]
-) -> Optional[tuple[int, int, int, int, int]]:
-    """Two hub triangles sharing a hub edge with distinct labels, plus an
-    edge-disjoint third hub triangle carrying the remaining label.
-
-    ``signs3`` are the three triangle labels of a diversity-3 instance.
-    Returns (i, j, k, m, p): triangles hub-i-j and hub-j-k, third hub-m-p,
-    searched with j outermost, or None.
-    """
-    others, tri = _hub_triangles(g, hub)
-    all3 = {int(v) for v in signs3}
-    for j in others:
-        for i in others:
-            if i == j:
-                continue
-            t1 = tri(i, j)
-            for k in others:
-                if k in (i, j):
-                    continue
-                t2 = tri(j, k)
-                if t2 == t1:
-                    continue
-                third = (all3 - {t1, t2}).pop()
-                for m in others:
-                    if m in (i, j, k):
-                        continue
-                    for p in others:
-                        if p <= m or p in (i, j, k):
-                            continue
-                        if tri(m, p) == third:
-                            return (i, j, k, m, p)
     return None
 
 

@@ -647,14 +647,16 @@ def verify(
 ) -> VerificationReport:
     """Check one claim over one domain and report violations verbatim.
 
-    Exhaustive scopes above :data:`MAX_EXHAUSTIVE` instances are refused
-    unless ``force`` is set, and random scopes of the sweep-backed claims
-    above the oracle's enumeration bound before any row is drawn.  Random
+    ``jobs`` below 1 is refused.  Exhaustive scopes above
+    :data:`MAX_EXHAUSTIVE` instances are refused unless ``force`` is set,
+    and random scopes of the sweep-backed claims above the oracle's
+    enumeration bound before any row is drawn.  Random
     scopes embed their seed in the report, so any violation can be
     replayed.
     """
     if lemma_id not in _REGISTRY:
         raise KeyError(f"unknown claim id {lemma_id!r}")
+    _at_least("jobs", jobs, 1)
     if isinstance(scope, str):
         scope = parse_scope(scope, seed)
     fn, allowed, _ = _REGISTRY[lemma_id]

@@ -7,11 +7,9 @@ more labels (and n > 5) four Hamiltonian circles realizing all four
 labels exist, and this module builds them by a deterministic case
 machine:
 
-* diversity 3 — find three chained hub triangles with distinct labels
-  (or, failing that, two edge-sharing basis triangles with different
-  labels plus an edge-disjoint one carrying the third), normalize the
-  outer vertex, and ladder through vertex-insertion moves whose label
-  shifts are forced;
+* diversity 3 — find three chained hub triangles with distinct labels,
+  normalize the outer vertex, and ladder through vertex-insertion moves
+  whose label shifts are forced;
 * diversity 4 without an all-distinct K4 — normalize a hub, pick one
   edge per label, assemble a path carrying all four labels, and rotate
   the hub through its edges;
@@ -21,8 +19,8 @@ machine:
   labels, or the constant-bridge constructions when every outside vertex
   sees it uniformly.
 
-The structures each branch starts from (chained or shared-edge hub
-triangles, the first all-distinct K4) come from :mod:`census`, the one
+The structures each branch starts from (chained hub triangles, the
+first all-distinct K4) come from :mod:`census`, the one
 module that reads triangle and K4 labels off a graph's row table; a call
 makes one census pass and builds no table of all triangles or K4s.
 
@@ -53,7 +51,6 @@ from .census import (
     distinct_sign_edge_structure,
     find_common_triple,
     find_consecutive_distinct_triple,
-    find_shared_edge_config,
     first_all_distinct_k4,
     triangle_census,
 )
@@ -210,12 +207,10 @@ def _predict_from_census(g: SignedCompleteGraph, census: TriangleCensus) -> Spec
 
 
 # ---------------------------------------------------------------------------
-# Diversity 3: chained-triangle and shared-edge constructions
+# Diversity 3: the chained-triangle construction
 # ---------------------------------------------------------------------------
 
-def _chained_triple_moves(
-    g: SignedCompleteGraph, quad: Sequence[int], v5: int, trace: str
-) -> WitnessSet:
+def _chained_triple_moves(g: SignedCompleteGraph, quad: Sequence[int], v5: int) -> WitnessSet:
     """Witnesses from a chained-triple frame, read with v5 normalized.
 
     Normalized at v5, the four ``quad`` vertices span two triangles with
@@ -247,7 +242,7 @@ def _chained_triple_moves(
             frame = (i1, i2, i3, i4)
             break
     if frame is None:
-        raise CounterexampleCandidateError(f"{trace}: no frame yields four distinct labels")
+        raise CounterexampleCandidateError("lemma_b/case1: no frame yields four distinct labels")
     z14 = s[frame[0]][frame[3]]
     z_count = sum(1 for a, b in combinations(range(4), 2) if s[a][b] == z14)
     v1, v2, v3, v4 = (qs[i] for i in frame)
@@ -259,75 +254,17 @@ def _chained_triple_moves(
         (v4, v3, v1, v5, v2, *rest),  # the same base across v1-v2
     ]
     panel = {3: "left_panel", 4: "right_panel"}.get(z_count, "atypical_panel")
-    return _witness_set(g, [Circle(vs) for vs in moves], f"{trace}/{panel}")
+    return _witness_set(g, [Circle(vs) for vs in moves], f"lemma_b/case1/{panel}")
 
 
-def _shared_edge_moves(
-    g: SignedCompleteGraph, hub: int, cfg: tuple[int, int, int, int, int]
-) -> WitnessSet:
-    """Witnesses from the shared-edge configuration, read with m normalized.
-
-    If the K4 spanned by hub, i, j, k picks up an edge of the third label
-    under the normalization, relabel so that edge plays the v1-v4 role
-    and reuse the chained-triple moves.  Otherwise all K4 edges carry the
-    two triangle labels, and inserting the normalized vertex across the
-    edges hub-p and i-k of two base circles realizes all four labels.
-    """
-    i, j, k, m, p = cfg
-    r, zm = g.rows, g.rows[m]
-    def label(u: int, v: int) -> int:  # edge u-v with m normalized
-        return r[u][v] ^ zm[u] ^ zm[v]
-    x = r[hub][i] ^ r[hub][j] ^ r[i][j]
-    y = r[hub][j] ^ r[hub][k] ^ r[j][k]
-    z = label(hub, p)
-    if len({x, y, z}) != 3:
-        raise CounterexampleCandidateError("shared-edge frame labels not distinct")
-
-    quad = (hub, i, j, k)
-    if any(label(a, b) == z for a, b in combinations(quad, 2)):
-        # Subcase 1: the K4 picked up a third-label edge, so a
-        # chained-triple frame exists inside it.
-        return _chained_triple_moves(g, quad, m, "lemma_b/case2/subcase1")
-
-    # Subcase 2: K4 edges all carry the two triangle labels.
-    v1, v2, v3, v4, v5, v6 = hub, i, j, k, m, p
-    alpha = r[v1][v2] ^ r[v1][v4] ^ r[v2][v4]
-    beta = r[v2][v3] ^ r[v2][v4] ^ r[v3][v4]
-    if {alpha, beta} != {x, y}:
-        raise CounterexampleCandidateError("subcase 2 triangle labels off-pattern")
-    rest7 = [v for v in g.vertices() if v not in (v1, v2, v3, v4, v5, v6)]
-    moves = [  # bases (v6, v1, v2, v4, v3, *rest7) and (v6, v1, v4, v2, v3, *rest7)
-        (v6, v5, v1, v2, v4, v3, *rest7),  # first base across v1-v6
-        (v6, v5, v1, v4, v2, v3, *rest7),  # second base across v1-v6
-        (v6, v1, v2, v5, v4, v3, *rest7),  # first base across v2-v4
-        (v6, v1, v4, v5, v2, v3, *rest7),  # second base across v2-v4
-    ]
-    edge_class = {alpha: "a", beta: "b"}
-    frame_edges = ((v1, v2), (v2, v3), (v3, v4), (v1, v4), (v2, v4))
-    pattern = tuple(edge_class.get(label(u, v), "?") for u, v in frame_edges)
-    named = {
-        ("a", "b", "b", "b", "b"): "type1",
-        ("a", "a", "a", "b", "b"): "type2",
-        ("a", "a", "b", "a", "a"): "type3",
-    }
-    name = named.get(pattern, "variant")
-    return _witness_set(g, [Circle(vs) for vs in moves], f"lemma_b/case2/subcase2/{name}")
-
-
-def _construct_diversity3(g: SignedCompleteGraph, signs3: Sequence[F22]) -> WitnessSet:
-    for hub in g.vertices():
-        found = find_consecutive_distinct_triple(g, hub)
-        if found:
-            a, b, c, d = found
-            return _chained_triple_moves(g, (hub, a, b, c), d, "lemma_b/case1")
-    for hub in g.vertices():
-        cfg = find_shared_edge_config(g, hub, signs3)
-        if cfg:
-            return _shared_edge_moves(g, hub, cfg)
-    raise CounterexampleCandidateError(
-        "diversity 3 but neither a chained triple nor a shared-edge "
-        "configuration exists at any hub"
-    )
+def _construct_diversity3(g: SignedCompleteGraph) -> WitnessSet:
+    # Diversity 3 puts three labels on the triangles through every hub,
+    # so the chained-triple finder succeeds at hub 1 (see its proof).
+    found = find_consecutive_distinct_triple(g, 1)
+    if found is None:
+        raise CounterexampleCandidateError("lemma_b: diversity 3 but no chained triple at hub 1")
+    a, b, c, d = found
+    return _chained_triple_moves(g, (1, a, b, c), d)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +601,7 @@ def construct_witnesses(g: SignedCompleteGraph) -> WitnessSet:
             f"witness construction needs n > 5, got n={g.n}"
         )
     if div == 3:
-        ws = _construct_diversity3(g, sorted(census.signs))
+        ws = _construct_diversity3(g)
     else:
         quad = first_all_distinct_k4(g)
         if quad is None:

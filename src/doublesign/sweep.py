@@ -27,6 +27,7 @@ reads contiguous memory, and the loops allocate no temporary per step.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -188,10 +189,11 @@ def run_normalized_sweep(
     """Sweep an index range of the hub-normalized family (default: all).
 
     The range is walked lazily in chunks of :data:`_CHUNK` rows, by worker
-    processes when ``jobs > 1``, and the results concatenated in index
-    order; the output is identical to a single-worker run, so whole
-    families of at most 4^10 rows are cached.  Raises ``ValueError`` for
-    n above :data:`oracle.ENUMERATION_BOUND`.
+    processes when ``jobs > 1`` (at most one per chunk and per CPU), and
+    the results concatenated in index order; the output is identical to a
+    single-worker run, so whole families of at most 4^10 rows are cached,
+    with read-only arrays.  Raises ``ValueError`` for n above
+    :data:`oracle.ENUMERATION_BOUND`.
     """
     _check_enumeration_bound(n)
     total = normalized_domain_size(n)
@@ -204,16 +206,19 @@ def run_normalized_sweep(
         return _SWEEP_CACHE[n]
     # An empty range is swept as one empty chunk.
     starts = range(start, stop, _CHUNK) or range(start, start + 1)
-    if jobs <= 1 or len(starts) == 1:
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
+    if workers <= 1:
         parts = [_sweep_chunk(n, a, stop) for a in starts]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sweep_chunk, repeat(n), starts, repeat(stop)))
     arrays = [f.name for f in fields(BatchAnalysis)[1:]]
     result = parts[0] if len(parts) == 1 else BatchAnalysis(
         n, *(np.concatenate([getattr(p, name) for p in parts]) for name in arrays)
     )
     if whole:
+        for name in arrays:
+            getattr(result, name).flags.writeable = False
         _SWEEP_CACHE[n] = result
     return result
 

@@ -1,3 +1,6 @@
+from itertools import combinations, permutations
+
+import numpy as np
 import pytest
 
 from conftest import graph_from
@@ -10,6 +13,7 @@ from doublesign import (
     gen_random,
     named_instance,
     triangle_census,
+    triangle_sign,
 )
 from doublesign.lemma_lab import k4_from_index
 
@@ -76,48 +80,78 @@ def test_consecutive_triple_lex_least():
     assert find_consecutive_distinct_triple(g, 1) == (2, 3, 4, 5)
 
 
-def test_consecutive_triple_postcondition_on_seeded_instances():
-    from doublesign import triangle_sign
-
-    for seed in range(200):
-        g = gen_random(6, seed)
-        got = find_consecutive_distinct_triple(g, 1)
+def _check_chained_triples(g):
+    # None at a hub exactly when the instance has at most two triangle
+    # labels; otherwise three chained hub triangles with distinct labels
+    diversity = triangle_census(g).diversity
+    for hub in g.vertices():
+        got = find_consecutive_distinct_triple(g, hub)
+        assert (got is None) == (diversity <= 2), (hub, diversity)
         if got is None:
             continue
         a, b, c, d = got
-        signs = {
-            triangle_sign(g, (1, a, b)),
-            triangle_sign(g, (1, b, c)),
-            triangle_sign(g, (1, c, d)),
-        }
-        assert len(signs) == 3
-        assert 1 not in {a, b, c, d}
+        assert len({hub, a, b, c, d}) == 5
+        chained = {triangle_sign(g, (hub, a, b)), triangle_sign(g, (hub, b, c)),
+                   triangle_sign(g, (hub, c, d))}
+        assert len(chained) == 3
 
 
-def test_shared_edge_config_postcondition_on_diversity3_instances():
-    import numpy as np
+def test_consecutive_triple_postcondition_on_seeded_instances():
+    rng = np.random.default_rng(12)
+    for seed in range(200):
+        _check_chained_triples(gen_random(6, seed))
+    # edge labels from two elements give triangle labels from those two
+    for n in range(6, 10):
+        for _ in range(5):
+            pair = rng.choice(list("eabc"), size=2, replace=False)
+            labels = {(u, w): str(rng.choice(pair)) for u, w in combinations(range(1, n + 1), 2)}
+            g = graph_from(n, labels)
+            assert triangle_census(g).diversity <= 2
+            _check_chained_triples(g)
 
-    from doublesign import ELEMENTS, instance_from_index, triangle_sign
-    from doublesign.census import find_shared_edge_config
-    from doublesign.sweep import run_normalized_sweep
 
-    assert find_shared_edge_config(named_instance("identity(7)"), 1, ELEMENTS[:3]) is None
-    found = 0
-    for index in np.nonzero(run_normalized_sweep(6).diversity == 3)[0][::250]:
-        g = instance_from_index(6, int(index))
-        signs3 = sorted(triangle_census(g).signs)
-        for hub in g.vertices():
-            got = find_shared_edge_config(g, hub, signs3)
-            if got is None:
-                continue
-            found += 1
-            i, j, k, m, p = got
-            t1 = triangle_sign(g, (hub, i, j))
-            t2 = triangle_sign(g, (hub, j, k))
-            assert t1 != t2
-            assert triangle_sign(g, (hub, m, p)) == (set(signs3) - {t1, t2}).pop()
-            assert m < p and len({hub, i, j, k, m, p}) == 6
-    assert found
+def _planted_two_block(n, rng):
+    # normalized at hub 1, so edge u-w carries T(1, u, w): labels x or y
+    # inside each of two blocks of the other vertices, z between them
+    x, y, z = (str(t) for t in rng.choice(list("eabc"), size=3, replace=False))
+    others = [int(v) for v in rng.permutation(range(2, n + 1))]
+    cut = int(rng.integers(1, n - 1))  # both blocks non-empty
+    block = {v: i < cut for i, v in enumerate(others)}
+    return graph_from(n, {
+        (u, w): str(rng.choice([x, y])) if block[u] == block[w] else z
+        for u, w in combinations(others, 2)
+    })
+
+
+def test_consecutive_triple_at_every_hub_of_planted_two_block_inputs():
+    rng = np.random.default_rng(2026)
+    for n in range(7, 13):
+        for _ in range(8):
+            g = _planted_two_block(n, rng)
+            assert triangle_census(g).diversity == 3
+            _check_chained_triples(g)
+
+
+def test_every_three_colouring_of_k5_has_a_rainbow_path():
+    # Step 3 of the proof in find_consecutive_distinct_triple: colour the
+    # ten edges of K_5 with 0, 1, 2 in every way; each colouring that uses
+    # all three colours has a path a-b-c-d whose edges differ pairwise.
+    def rainbow_paths(m, colour):
+        pos = {e: i for i, e in enumerate(combinations(range(m), 2))}
+        found = np.zeros(len(colour), dtype=bool)
+        for a, b, c, d in permutations(range(m), 4):
+            p, q, r = (colour[:, pos[min(u, v), max(u, v)]] for u, v in ((a, b), (b, c), (c, d)))
+            found |= (p != q) & (q != r) & (p != r)
+        return found
+
+    codes = np.arange(3 ** 10)
+    colour = np.stack([codes // 3 ** i % 3 for i in range(10)], axis=1)
+    uses_all = (colour == 0).any(axis=1) & (colour == 1).any(axis=1) & (colour == 2).any(axis=1)
+    assert uses_all.sum() == 55_980
+    assert (rainbow_paths(5, colour) == uses_all).all()
+    # K_4 falls short: one colour per perfect matching leaves no rainbow path
+    matchings = np.array([[0, 1, 2, 2, 1, 0]])  # edges 01 02 03 12 13 23
+    assert not rainbow_paths(4, matchings).any()
 
 
 class TestDistinctSignEdgeStructure:

@@ -2,11 +2,11 @@
 
 Each entry is a name and the SHA-256 prefix of a canonical JSON rendering
 of one output: a witness set (trace, circles, labels) or the refusal
-text of ``construct_witnesses``, a witness set of the shared-edge moves,
-an oracle spectrum with witnesses, a claim report without its timing, or
-one array of the n = 6 sweep, of two n = 7 sweep chunks or of a batch of
-random n = 7 rows.  A refactor passes only if every entry
-comes out unchanged; a mismatch names the first entry that differs.
+text of ``construct_witnesses``, an oracle spectrum with witnesses, a
+claim report without its timing, or one array of the n = 6 sweep, of
+two n = 7 sweep chunks or of a batch of random n = 7 rows.  A refactor
+passes only if every entry comes out unchanged; a mismatch names the
+first entry that differs.
 
 After an intended change of output, regenerate the data file with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints every entry
@@ -33,16 +33,9 @@ from doublesign import (
     lemma_ids,
     verify,
 )
-from doublesign.solver import _shared_edge_moves
 from doublesign.io_gen import random_sign_matrix
 from doublesign.sweep import analyze_sign_matrix, run_normalized_sweep
-from conftest import graph_from
-from test_solver import (
-    BRANCH_FIXTURES,
-    SHARED_EDGE_CONFIG,
-    SHARED_EDGE_FIXTURES,
-    constant_bridge_fixture,
-)
+from test_solver import BRANCH_FIXTURES, constant_bridge_fixture
 
 DATA = Path(__file__).with_name("golden_digests.json")
 
@@ -100,10 +93,7 @@ def _construct_entries():
     for n, index, _ in BRANCH_FIXTURES:
         name = f"fixture/{index}" if n == 6 else f"fixture/{n}/{index}"
         yield name, _construct_payload(instance_from_index(n, index))
-    # lemma_b/case2 and case_beta/case3b occur on none of the sampled inputs
-    for subcase, labels in SHARED_EDGE_FIXTURES.items():
-        ws = _shared_edge_moves(graph_from(6, labels), 1, SHARED_EDGE_CONFIG)
-        yield f"shared_edge/subcase{subcase}", _witness_payload(ws)
+    # case_beta/case3b occurs on none of the sampled inputs
     for n in (7, 9):
         yield f"constant_bridge/{n}", _construct_payload(constant_bridge_fixture(n))
     for index in _n6_indices():

@@ -51,6 +51,10 @@ def test_parse_scope_forms():
         ("lemma1", "exhaustive_normalized:-1", 2),
         ("lemma1", "exhaustive_normalized:2", 2),
         ("lemma1", "random:3:5", 0),  # no K4 at n = 3, so nothing to violate
+        # worker counts below one, refused before any row is swept
+        pytest.param("lemma1", "exhaustive_k4 --jobs 0", 2, id="lemma1-exhaustive_k4-jobs0-2"),
+        pytest.param("lemma_b", "exhaustive_normalized:6 --jobs -3", 2,
+                     id="lemma_b-exhaustive_normalized:6-jobs-3-2"),
         # scope objects handed to verify directly, past the scope parser
         pytest.param("lemma1", lambda: ExhaustiveNormalized(2), 2,
                      id="lemma1-ExhaustiveNormalized(2)-2"),
@@ -63,9 +67,11 @@ def test_degenerate_scopes_are_usage_errors_or_pass(lemma, scope, code, capsys):
         with pytest.raises(ValueError, match="must be at least"):
             verify(lemma, scope())
         return
-    assert main(["verify", "--lemma", lemma, "--scope", scope]) == code
+    scope, *options = scope.split()
+    assert main(["verify", "--lemma", lemma, "--scope", scope, *options]) == code
     if code == 2:
-        assert repr(scope) in capsys.readouterr().err
+        named = f"jobs must be at least 1, got {options[-1]}" if options else repr(scope)
+        assert named in capsys.readouterr().err
     else:
         assert "PASS over 5 seeded" in capsys.readouterr().out
 

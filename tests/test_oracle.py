@@ -370,3 +370,53 @@ def test_sweep_caches_whole_families_only():
     assert set(sweep._SWEEP_CACHE) == before
     assert sweep.run_normalized_sweep(5, 16, 80) is not part
     assert (part.spec_mask == sweep.run_normalized_sweep(5).spec_mask[16:80]).all()
+
+
+def test_cached_sweep_record_is_read_only():
+    # every claim over a family shares its cached record, so a write into
+    # it must fail instead of changing later verdicts
+    from dataclasses import fields
+
+    from doublesign import sweep, verify
+
+    whole = sweep.run_normalized_sweep(5)
+    names = [f.name for f in fields(whole)[1:]] + ["edge_mask"]
+    for name in names:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(whole, name)[0] = 15
+    assert verify("lemma22", "exhaustive_normalized:5").passed
+    part = sweep.run_normalized_sweep(5, 16, 80)  # sub-ranges are the caller's own
+    assert all(getattr(part, name).flags.writeable for name in names)
+
+
+def test_sweep_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
+    # a process pool starts all its workers at the first submit, so a huge
+    # ``jobs`` must not reach it; a stand-in records the size asked for and
+    # maps in this process
+    from doublesign import sweep
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    stop = 3 * sweep._CHUNK + 5  # four chunks
+    serial = sweep.run_normalized_sweep(6, 0, stop)
+    for cpus, expected in ((64, [4]), (2, [2]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+        got = sweep.run_normalized_sweep(6, 0, stop, jobs=100_000)
+        assert sizes == expected
+        assert (got.spec_mask == serial.spec_mask).all()
+        assert (got.hub_mask == serial.hub_mask).all()

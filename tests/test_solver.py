@@ -32,7 +32,6 @@ from doublesign import (
     verify_witness_set,
     walk_sign,
 )
-from doublesign.solver import _shared_edge_moves
 
 
 class TestPredictSpectrum:
@@ -170,13 +169,6 @@ def test_common_branches_build_no_switched_graph(monkeypatch):
         for n, index, trace in BRANCH_FIXTURES
     ]
     cases.append((constant_bridge_fixture(7), construct_witnesses, "lemma_c/case_beta/case3b"))
-
-    def shared(g):
-        return _shared_edge_moves(g, 1, SHARED_EDGE_CONFIG)
-
-    cases.append((graph_from(6, SHARED_EDGE_FIXTURES[1]), shared,
-                  "lemma_b/case2/subcase1/left_panel"))
-    cases.append((graph_from(6, SHARED_EDGE_FIXTURES[2]), shared, "lemma_b/case2/subcase2/variant"))
     cases.append((TestNecklace().k5_fixture("b"),
                   lambda g: necklace_construct(g, (1, 2, 3, 4, 5), (2, 5)), "necklace"))
     for g, build, trace in cases:
@@ -278,37 +270,6 @@ class TestChainedTripleConstruction:
         x, y, z = F22.A, F22.B, F22.C
         expected = {k ^ x ^ z, k ^ y ^ z, k, k ^ x ^ y}
         assert construct_witnesses(g).signs == expected
-
-
-# Labels (default e) on which _shared_edge_moves(g, 1, SHARED_EDGE_CONFIG)
-# takes each subcase of lemma_b/case2.  No sampled instance reaches that
-# branch, so these are its only inputs.
-SHARED_EDGE_CONFIG = (2, 3, 4, 5, 6)
-SHARED_EDGE_FIXTURES = {
-    # diversity {e, a, b}: the K4 spanned by the two shared-edge
-    # triangles carries the third label (here the identity) on its own
-    # edges, reducing to the chained-triple frame
-    1: {(2, 3): "a", (2, 4): "a", (3, 4): "b"},
-    2: {(1, v): "e" for v in range(2, 7)}
-    | {(2, 3): "a", (3, 4): "b", (5, 6): "c", (2, 4): "a"},
-}
-
-
-class TestSharedEdgeConstruction:
-    def test_explicit_configuration_subcase2(self):
-        g = graph_from(6, SHARED_EDGE_FIXTURES[2])
-        ws = _shared_edge_moves(g, 1, SHARED_EDGE_CONFIG)
-        assert ws.trace.startswith("lemma_b/case2/subcase2")
-        verify_witness_set(g, ws)
-        assert ws.signs == frozenset(ELEMENTS)
-
-    def test_explicit_configuration_subcase1(self):
-        g = graph_from(6, SHARED_EDGE_FIXTURES[1])
-        assert triangle_census(g).signs == {F22.E, F22.A, F22.B}
-        ws = _shared_edge_moves(g, 1, SHARED_EDGE_CONFIG)
-        assert ws.trace.startswith("lemma_b/case2/subcase1")
-        verify_witness_set(g, ws)
-        assert ws.signs == frozenset(ELEMENTS)
 
 
 class TestFourSignPath:
@@ -449,16 +410,14 @@ def test_hub_readers_match_the_normalized_graph(n, seed, rnd):
 
 
 def test_a_case_machine_miss_is_loud(monkeypatch, tmp_path, capsys):
-    # with both diversity-3 finders blinded the case machine has no branch
-    # left; the miss must raise, not be rescued by some other search
+    # with the chained-triple finder blinded the case machine has no
+    # branch left; the miss must raise, not be rescued by some other search
     from doublesign import solver
     from doublesign.cli import main
 
     monkeypatch.setattr(solver, "find_consecutive_distinct_triple", lambda *a: None)
-    monkeypatch.setattr(solver, "find_shared_edge_config", lambda *a: None)
     g = instance_from_index(6, 262)
-    with pytest.raises(CounterexampleCandidateError,
-                       match="neither a chained triple nor a shared-edge configuration"):
+    with pytest.raises(CounterexampleCandidateError, match="no chained triple at hub 1"):
         construct_witnesses(g)
 
     path = tmp_path / "g.txt"
