@@ -32,7 +32,6 @@ from .graph import (
 )
 from .group import ELEMENTS, F22, add, fourth_element, pair_sums
 from .io_gen import (
-    InstanceRecord,
     ParseError,
     gen_exhaustive_normalized,
     gen_random,
@@ -85,7 +84,7 @@ __all__ = [
     "CounterexampleCandidateError", "CaseNotApplicableError",
     "WitnessVerificationError",
     "VerificationReport", "verify", "lemma_ids", "describe",
-    "InstanceRecord", "serialize", "parse", "ParseError",
+    "serialize", "parse", "ParseError",
     "gen_random", "gen_exhaustive_normalized", "instance_from_index",
     "named_instance",
 ]

@@ -8,7 +8,10 @@ locates the edge/triangle configurations the constructive machinery
 starts from.  It is the one module that reads triangle and K4 labels off
 a graph, from its row table ``rows`` alone, and scans K4s lazily: the
 solver and the claim checks call these readers instead of scanning
-labels themselves.  Everything here is read-only over immutable graphs.
+labels themselves.  :func:`spectrum_mask` states the law that turns
+triangle labels into allowed circle labels, once, for the solver's
+prediction and the sweep's bound.  Everything here is read-only over
+immutable graphs.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import SignedCompleteGraph, edge_index
@@ -75,6 +79,23 @@ def triangle_census(g: SignedCompleteGraph) -> TriangleCensus:
     for a, b, c in combinations(g.vertices(), 3):
         counts[rows[a][b] ^ rows[a][c] ^ rows[b][c]] += 1
     return TriangleCensus(dict(zip(ELEMENTS, counts)))
+
+
+def spectrum_mask(tri_mask: int, n: int) -> int:
+    """The 4-bit mask of Hamiltonian circle labels that triangle labels allow.
+
+    A Hamiltonian circle of K_n decomposes into n-2 hub triangles.  With
+    one triangle label x every circle carries (n-2)x; with two, x and y,
+    its label keeps the parity of n-2, inside {x, y} for odd n and
+    {e, x+y} for even n; three or more labels restrict nothing (mask 15).
+    ``tri_mask`` has bit s set when some triangle carries label s.
+    """
+    labels = [s for s in range(4) if tri_mask >> s & 1]
+    if len(labels) >= 3:
+        return 15
+    if n % 2 or not labels:
+        return tri_mask
+    return 1 | 1 << (labels[0] ^ labels[-1])
 
 
 def _k4_labels(rows: Sequence[bytes], a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
@@ -157,8 +178,9 @@ def find_common_triple(
 
 
 def classify_k4(g: SignedCompleteGraph, quad: Sequence[int]) -> K4Class:
-    """Classify the K4 induced by four distinct vertices."""
-    vs = tuple(sorted(int(v) for v in quad))
+    """Classify the K4 induced by four distinct vertices (``TypeError``
+    on a vertex that is not an integer)."""
+    vs = tuple(sorted(map(index, quad)))
     if len(set(vs)) != 4:
         raise ValueError(f"need four distinct vertices, got {quad}")
     g.check_vertices(*vs)
@@ -278,17 +300,8 @@ class TheoryViolationError(Exception):
 class EdgeStructure:
     """Shape of the four distinct-label witness edges off the hub."""
 
-    case: int  # 1..4
-    label: str
+    case: int  # 1 one vertex, 2 star with an attached edge, 3 star and a disjoint edge, 4 paths
     edges_by_sign: dict[F22, tuple[int, int]]
-
-
-_CASE_LABELS = {
-    1: "common_vertex",
-    2: "star_plus_attached",
-    3: "star_plus_disjoint",
-    4: "disjoint_paths",
-}
 
 
 def distinct_sign_edge_structure(g: SignedCompleteGraph, hub: int) -> EdgeStructure:
@@ -331,6 +344,4 @@ def distinct_sign_edge_structure(g: SignedCompleteGraph, hub: int) -> EdgeStruct
         case = 2 if attached else 3
     else:
         case = 4
-    return EdgeStructure(
-        case, _CASE_LABELS[case], {F22(s): e for s, e in sorted(chosen.items())}
-    )
+    return EdgeStructure(case, {F22(s): e for s, e in sorted(chosen.items())})

@@ -41,7 +41,7 @@ def _load_instance(args: argparse.Namespace) -> SignedCompleteGraph:
         raise SystemExit2("exactly one of --in / --named / --random is required")
     if args.infile is not None:
         text = sys.stdin.read() if args.infile == "-" else Path(args.infile).read_text()
-        g = io_gen.parse(text).to_graph()
+        g = io_gen.parse(text)
     elif args.named is not None:
         g = io_gen.named_instance(args.named)
     else:
@@ -60,15 +60,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         if args.exhaustive_normalized is not None:
             for i, g in enumerate(io_gen.gen_exhaustive_normalized(args.exhaustive_normalized)):
-                rec = io_gen.InstanceRecord.from_graph(g, {"index": i})
-                out.write(f"# index {i}\n{io_gen.serialize(rec)}\n")
+                out.write(f"# index {i}\n{io_gen.serialize(g)}\n")
         elif args.random is not None:
-            g = io_gen.gen_random(args.random, args.seed)
-            rec = io_gen.InstanceRecord.from_graph(g, {"seed": args.seed})
-            out.write(io_gen.serialize(rec))
+            out.write(io_gen.serialize(io_gen.gen_random(args.random, args.seed)))
         elif args.named is not None:
-            rec = io_gen.InstanceRecord.from_graph(io_gen.named_instance(args.named))
-            out.write(io_gen.serialize(rec))
+            out.write(io_gen.serialize(io_gen.named_instance(args.named)))
         else:
             raise SystemExit2("one of --exhaustive-normalized / --random / --named is required")
     finally:

@@ -12,6 +12,7 @@ safe to share across workers.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .group import ELEMENTS, F22
@@ -70,8 +71,11 @@ class SignedCompleteGraph:
 
     @classmethod
     def from_signs(cls, n: int, signs: Sequence[int]) -> "SignedCompleteGraph":
-        """Build from a full triangular sequence of labels in index order."""
-        return cls(n, bytes(int(s) for s in signs))
+        """Build from a full triangular sequence of labels in index order.
+
+        Raises ``TypeError`` on a label that is not an integer.
+        """
+        return cls(n, bytes(map(index, signs)))
 
     def sign(self, u: int, v: int) -> F22:
         """Label of edge {u, v}; symmetric in its arguments."""
@@ -127,7 +131,7 @@ def build(n: int, signs: Iterable[tuple[int, int, F22]]) -> SignedCompleteGraph:
 
 
 def _check_distinct(vertices: Sequence[int], least: int, kind: str) -> tuple[int, ...]:
-    vs = tuple(map(int, vertices))
+    vs = tuple(map(index, vertices))  # TypeError on a non-integer vertex
     if len(vs) < least:
         raise ValueError(f"a {kind} needs at least {least} vertices, got {len(vs)}")
     if len(set(vs)) != len(vs):

@@ -6,13 +6,13 @@ can be partitioned and replayed), seeded uniform-random instances, and
 the small named fixtures used throughout the documentation and tests.
 
 The text format is deliberately diff-able: a header line ``n=<N>``
-followed by one ``u v <label>`` line per edge.  A structured dict variant
-carries the same fields plus free-form metadata.
+followed by one ``u v <label>`` line per edge.  :func:`parse` reads it
+straight into a :class:`SignedCompleteGraph` and :func:`serialize` writes
+one back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -78,6 +78,8 @@ def gen_random(n: int, seed: int) -> SignedCompleteGraph:
     """Uniform independent edge labels from a deterministic seeded stream."""
     if n < 3:
         raise ValueError("need n >= 3")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 4, size=n * (n - 1) // 2, dtype=np.uint8)
     return SignedCompleteGraph(n, signs.tobytes())
@@ -143,9 +145,6 @@ def named_instance(name: str) -> SignedCompleteGraph:
     raise ValueError(f"unknown instance name: {name!r}")
 
 
-NAMED_INSTANCES = ("share_vertex_k4", "triangle_k4", "identity(n)")
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -154,53 +153,24 @@ class ParseError(ValueError):
     """Malformed instance text; the message names the offending line."""
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
-    """An instance as data: vertex count, full edge list, open metadata."""
-
-    n: int
-    edges: tuple[tuple[int, int, F22], ...]
-    metadata: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_graph(
-        cls, g: SignedCompleteGraph, metadata: Optional[dict] = None
-    ) -> "InstanceRecord":
-        return cls(g.n, tuple(g.edges()), dict(metadata or {}))
-
-    def to_graph(self) -> SignedCompleteGraph:
-        return build(self.n, self.edges)
-
-    def to_dict(self) -> dict:
-        """Structured variant: same fields plus metadata, JSON-friendly."""
-        return {
-            "n": self.n,
-            "edges": [[u, v, s.render()] for u, v, s in self.edges],
-            "metadata": dict(self.metadata),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InstanceRecord":
-        edges = tuple((int(u), int(v), F22.parse(s)) for u, v, s in data["edges"])
-        return cls(int(data["n"]), edges, dict(data.get("metadata", {})))
-
-
-def serialize(record: InstanceRecord) -> str:
-    """Render a record in the line format (header, then one edge per line)."""
-    lines = [f"n={record.n}"]
-    lines.extend(f"{u} {v} {s.render()}" for u, v, s in record.edges)
+def serialize(g: SignedCompleteGraph) -> str:
+    """Render a graph in the line format (header, then one edge per line)."""
+    lines = [f"n={g.n}"]
+    lines.extend(f"{u} {v} {s.render()}" for u, v, s in g.edges())
     return "\n".join(lines) + "\n"
 
 
-def parse(text: str) -> InstanceRecord:
-    """Parse the line format back into a record.
+def parse(text: str) -> SignedCompleteGraph:
+    """Parse the line format into a graph.
 
     Blank lines and ``#`` comments are ignored.  Raises
     :class:`ParseError` naming the line for a malformed line, a bad label
-    token, a duplicate edge, or (naming the pair) a missing edge.
+    token, a duplicate edge, or (naming the pair) a missing edge.  The
+    graph is allocated only once every edge is present, so a large header
+    with few edge lines fails fast and small.
     """
     n: Optional[int] = None
-    seen: dict[int, tuple[int, int, F22]] = {}
+    seen: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -232,7 +202,7 @@ def parse(text: str) -> InstanceRecord:
             raise ParseError(f"line {lineno}: {exc}") from None
         if idx in seen:
             raise ParseError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen[idx] = (min(u, v), max(u, v), s)
+        seen[idx] = s
     if n is None:
         raise ParseError("empty input: missing 'n=<N>' header")
     # Walk the pairs lazily: the first missing one is at most one past the
@@ -241,5 +211,4 @@ def parse(text: str) -> InstanceRecord:
     for idx, (u, v) in enumerate(pairs):
         if idx not in seen:
             raise ParseError(f"missing edge ({u}, {v})")
-    edges = tuple(seen[i] for i in range(len(seen)))
-    return InstanceRecord(n, edges)
+    return SignedCompleteGraph(n, bytes(seen[i] for i in range(len(seen))))

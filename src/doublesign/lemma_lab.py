@@ -99,7 +99,7 @@ class ExhaustiveNormalized:
 @dataclass(frozen=True)
 class RandomScope:
     """Seeded instances gen_random(n, seed), ..., gen_random(n, seed+count-1),
-    for n >= 3 and count >= 1."""
+    for n >= 3, count >= 1 and seed >= 0."""
 
     n: int
     count: int
@@ -108,6 +108,7 @@ class RandomScope:
     def __post_init__(self) -> None:
         _at_least("N", self.n, 3)
         _at_least("COUNT", self.count, 1)
+        _at_least("seed", self.seed, 0)
 
     def describe(self) -> str:
         return f"{self.count} seeded random instances at n={self.n} (seed {self.seed})"
@@ -444,14 +445,14 @@ def _verify_table1(scope: Scope, report: VerificationReport, jobs: int) -> None:
         ):
             report.add_violation({"index": index, "detail": "canonical circle labels off"})
             continue
-        groups = [
+        disjoint_pairs = [
             ((1, 2), (3, 4), "C1", "C2"),
             ((1, 4), (2, 3), "C1", "C3"),
             ((1, 3), (2, 4), "C2", "C3"),
         ]
         s_first = sig(1, 2) ^ sig(3, 4)
         expect_agree = _TABLE1_AGREE[s_first]
-        for gi, (ea, eb, ca, cb) in enumerate(groups):
+        for gi, (ea, eb, ca, cb) in enumerate(disjoint_pairs):
             pair_sum = sig(*ea) ^ sig(*eb)
             agree = pair_sum in (circle_signs[ca], circle_signs[cb])
             if agree is not expect_agree[gi]:

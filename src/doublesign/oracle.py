@@ -15,6 +15,10 @@ Python loop runs over the vertices before them: at n <= 10 that is the
 second vertex alone.  The table is this module's own and shares nothing
 with the sweep's circle table :func:`circle_edge_indices`, so the sweep
 and the oracle remain two independent routes to every spectrum.
+
+:func:`hamiltonian_paths_spectrum` gives the label multiset of the
+Hamiltonian paths from one start, and :func:`k4_path_report` the labels
+of the 12 Hamiltonian paths of a K4, per start and in total.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graph import Circle, Path, SignedCompleteGraph, edge_index
+from .graph import Circle, SignedCompleteGraph, edge_index
 from .group import ELEMENTS, F22
 
 #: Largest n enumerated by default: (10-1)!/2 = 181,440 circles.
@@ -183,30 +187,15 @@ def hamiltonian_paths_spectrum(
 
 
 @dataclass(frozen=True)
-class PathGroup:
-    """Four Hamiltonian paths of a K4 sharing an endpoint-pair class."""
-
-    endpoint_pairs: tuple[tuple[int, int], tuple[int, int]]
-    paths: tuple[Path, ...]
-    signs: tuple[F22, ...]
-
-
-@dataclass(frozen=True)
 class PathMultisetReport:
-    """The 12 Hamiltonian paths of a K4, grouped two ways.
+    """The labels of the 12 Hamiltonian paths of a K4, per start and in total.
 
     ``per_start[i]`` is the sorted label multiset of the six paths with an
-    endpoint at vertex i; ``groups`` are the three four-path classes keyed
-    by complementary endpoint pairs; ``totals`` counts all 12 paths by
-    label.
+    endpoint at vertex i; ``totals`` counts all 12 paths by label.
     """
 
     per_start: dict[int, tuple[F22, ...]]
-    groups: tuple[PathGroup, PathGroup, PathGroup]
     totals: dict[F22, int]
-
-
-_K4_GROUPS = (((1, 2), (3, 4)), ((1, 4), (2, 3)), ((1, 3), (2, 4)))
 
 
 def k4_path_report(g: SignedCompleteGraph) -> PathMultisetReport:
@@ -214,38 +203,13 @@ def k4_path_report(g: SignedCompleteGraph) -> PathMultisetReport:
     if g.n != 4:
         raise ValueError(f"path report is defined for n=4 only, got n={g.n}")
     rows = g.rows
-    paths: list[tuple[tuple[int, ...], int]] = []
-    for perm in permutations((1, 2, 3, 4)):
-        if perm[0] > perm[-1]:
-            continue
-        acc = 0
-        for i in range(3):
-            acc ^= rows[perm[i]][perm[i + 1]]
-        paths.append((perm, acc))
-
     per_start: dict[int, list[F22]] = {i: [] for i in (1, 2, 3, 4)}
     totals = {e: 0 for e in ELEMENTS}
-    for perm, acc in paths:
-        per_start[perm[0]].append(ELEMENTS[acc])
-        per_start[perm[-1]].append(ELEMENTS[acc])
-        totals[ELEMENTS[acc]] += 1
-
-    groups = []
-    for pair_a, pair_b in _K4_GROUPS:
-        members = [
-            (perm, acc)
-            for perm, acc in paths
-            if {perm[0], perm[-1]} in ({*pair_a}, {*pair_b})
-        ]
-        groups.append(
-            PathGroup(
-                (pair_a, pair_b),
-                tuple(Path(perm) for perm, _ in members),
-                tuple(ELEMENTS[acc] for _, acc in members),
-            )
-        )
-    return PathMultisetReport(
-        {i: tuple(sorted(v)) for i, v in per_start.items()},
-        tuple(groups),
-        totals,
-    )
+    for a, b, c, d in permutations((1, 2, 3, 4)):
+        if a > d:
+            continue
+        s = ELEMENTS[rows[a][b] ^ rows[b][c] ^ rows[c][d]]
+        per_start[a].append(s)
+        per_start[d].append(s)
+        totals[s] += 1
+    return PathMultisetReport({i: tuple(sorted(v)) for i, v in per_start.items()}, totals)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import index
 from typing import Sequence
 
 from .census import (
@@ -52,6 +53,7 @@ from .census import (
     find_common_triple,
     find_consecutive_distinct_triple,
     first_all_distinct_k4,
+    spectrum_mask,
     triangle_census,
 )
 from .graph import (
@@ -175,26 +177,22 @@ def _witness_set(
 def predict_spectrum(g: SignedCompleteGraph) -> SpectrumPrediction:
     """Bound the Hamiltonian label set from the triangle census alone.
 
-    A Hamiltonian circle decomposes into n-2 hub triangles, so with one
-    triangle label x every circle carries (n-2)x, and with two labels the
-    circle label keeps the parity of n-2.  With three or more labels and
-    n > 5 the full set is achievable.
+    One or two triangle labels pin it to :func:`census.spectrum_mask`, a
+    singleton or a parity pair.  With three or more labels and n > 5 the
+    full set is achievable.
     """
     return _predict_from_census(g, triangle_census(g))
 
 
 def _predict_from_census(g: SignedCompleteGraph, census: TriangleCensus) -> SpectrumPrediction:
     div = census.diversity
-    signs = sorted(census.signs)
     n = g.n
-    if div == 1:
-        x = signs[0]
-        value = x if (n - 2) % 2 else F22.E
-        return SpectrumPrediction("singleton", frozenset({value}), "forced parity of one label")
-    if div == 2:
-        x, y = signs
-        values = {x, y} if (n - 2) % 2 else {F22.E, x ^ y}
-        return SpectrumPrediction("parity_pair", frozenset(values), "two-label parity bound")
+    if div <= 2:
+        mask = spectrum_mask(sum(1 << s for s in census.signs), n)
+        values = frozenset(s for s in ELEMENTS if mask >> s & 1)
+        if div == 1:
+            return SpectrumPrediction("singleton", values, "forced parity of one label")
+        return SpectrumPrediction("parity_pair", values, "two-label parity bound")
     if n > 5:
         provenance = "lemma_b" if div == 3 else "lemma_c"
         return SpectrumPrediction("full", frozenset(ELEMENTS), provenance)
@@ -454,7 +452,7 @@ def necklace_construct(
     ``norm`` and around the remaining vertices at a constant label
     offset, so the four circle labels again cover everything.
     """
-    k5 = tuple(sorted(set(int(v) for v in k5_vertices)))
+    k5 = tuple(sorted(set(map(index, k5_vertices))))
     if len(k5) != 5:
         raise ValueError(f"need five distinct block vertices, got {k5_vertices}")
     start, norm = hub_pair

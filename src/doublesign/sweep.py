@@ -34,7 +34,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .census import quad_table, triangle_table
+from .census import quad_table, spectrum_mask, triangle_table
 from .graph import edge_index
 from .io_gen import free_edges, normalized_domain_size
 from .oracle import ENUMERATION_BOUND, circle_edge_indices
@@ -224,21 +224,7 @@ def run_normalized_sweep(
 
 
 def allowed_spectrum_mask(tri_mask: np.ndarray, n: int) -> np.ndarray:
-    """Upper bound on each spectrum mask implied by triangle labels.
-
-    For diversity 1 every circle label is forced to (n-2) copies of the
-    one triangle label; for diversity 2 to a parity pair; for diversity
-    3+ there is no restriction (mask 15).
-    """
-    lut = np.empty(16, dtype=np.uint8)
-    lut[0] = 0
-    for mask in range(1, 16):
-        bits = [s for s in range(4) if mask >> s & 1]
-        if len(bits) == 1:
-            lut[mask] = mask if (n - 2) % 2 else 1
-        elif len(bits) == 2:
-            x, y = bits
-            lut[mask] = mask if (n - 2) % 2 else (1 | (1 << (x ^ y)))
-        else:
-            lut[mask] = 15
+    """Upper bound on each spectrum mask implied by triangle labels:
+    :func:`census.spectrum_mask` of each entry."""
+    lut = np.array([spectrum_mask(mask, n) for mask in range(16)], dtype=np.uint8)
     return lut[tri_mask]

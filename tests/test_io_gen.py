@@ -1,12 +1,16 @@
 import json
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublesign import (
     F22,
-    InstanceRecord,
     ParseError,
+    SignedCompleteGraph,
     gen_exhaustive_normalized,
     gen_random,
     instance_from_index,
@@ -52,6 +56,12 @@ class TestRandom:
         g = gen_random(9, 5)
         assert len(list(g.edges())) == 36
 
+    def test_negative_seed_is_refused_by_name(self, capsys):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            gen_random(7, -1)
+        assert main(["construct", "--random", "7", "--seed", "-1"]) == 2
+        assert "seed must be at least 0, got -1" in capsys.readouterr().err
+
     def test_matrix_matches_scalar_generator(self):
         mat = random_sign_matrix(6, range(40, 60))
         for row, seed in zip(mat, range(40, 60)):
@@ -78,20 +88,30 @@ class TestNamed:
 
 class TestSerialization:
     def test_round_trip_named(self, share_vertex_k4):
-        rec = InstanceRecord.from_graph(share_vertex_k4, {"name": "share_vertex_k4"})
-        assert parse(serialize(rec)).to_graph() == share_vertex_k4
+        assert parse(serialize(share_vertex_k4)) == share_vertex_k4
 
     def test_round_trip_many_random_records(self):
         rng = random.Random(0)
         for trial in range(10_000):
-            n = rng.randint(3, 8)
-            rec = InstanceRecord.from_graph(gen_random(n, trial))
-            assert parse(serialize(rec)) == InstanceRecord(rec.n, rec.edges)
+            g = gen_random(rng.randint(3, 8), trial)
+            assert parse(serialize(g)) == g
 
-    def test_dict_round_trip(self, triangle_k4):
-        rec = InstanceRecord.from_graph(triangle_k4, {"seed": 9})
-        again = InstanceRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
-        assert again == rec
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_with_comments_blanks_and_bit_pairs(self, data):
+        n = data.draw(st.integers(2, 9))
+        m = n * (n - 1) // 2
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        g = SignedCompleteGraph.from_signs(n, labels)
+        header, *edges = serialize(g).splitlines()
+        lines = [header]
+        for line in edges:
+            u, v, label = line.split()
+            if data.draw(st.booleans()):
+                label = format(F22.parse(label), "02b")
+            tail = data.draw(st.sampled_from(["", " # note", "\n", "\n# c\n"]))
+            lines.append(f"{u} {v} {label}{tail}")
+        assert parse("# instance\n\n" + "\n".join(lines)) == g
 
     def test_missing_edge_names_the_pair(self):
         text = "n=3\n1 2 a\n1 3 b\n"
@@ -105,6 +125,21 @@ class TestSerialization:
         with pytest.raises(ParseError, match=r"missing edge \(1, 2\)"):
             parse("n=100000\n")
         assert all_edges.cache_info().currsize == before
+
+    @pytest.mark.parametrize("n", [10, 10**4, 10**8, 10**12])
+    @pytest.mark.parametrize("edge_lines", range(4))
+    def test_adversarial_header_fails_fast_and_small(self, n, edge_lines):
+        text = f"n={n}\n" + "".join(["1 2 a\n", "1 3 b\n", "2 3 c\n"][:edge_lines])
+        tracemalloc.start()
+        begin = time.perf_counter()
+        try:
+            with pytest.raises(ParseError, match="missing edge"):
+                parse(text)
+            elapsed = time.perf_counter() - begin
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 1 << 20
 
     def test_bad_label_reports_line_number(self):
         text = "n=3\n1 2 a\n1 3 d\n2 3 b\n"
@@ -121,9 +156,8 @@ class TestSerialization:
             parse("1 2 a\n")
 
     def test_comments_and_blanks_ignored(self, share_vertex_k4):
-        rec = InstanceRecord.from_graph(share_vertex_k4)
-        text = "# fixture\n\n" + serialize(rec).replace("\n", "\n\n")
-        assert parse(text).to_graph() == share_vertex_k4
+        text = "# fixture\n\n" + serialize(share_vertex_k4).replace("\n", "\n\n")
+        assert parse(text) == share_vertex_k4
 
 
 class TestCli:
@@ -225,7 +259,7 @@ class TestCli:
 
         from doublesign import io_gen as iog
 
-        text = iog.serialize(InstanceRecord.from_graph(named_instance("triangle_k4")))
+        text = iog.serialize(named_instance("triangle_k4"))
         monkeypatch.setattr("sys.stdin", _io.StringIO(text))
         assert main(["census", "--in", "-", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["diversity"] == 4

@@ -55,11 +55,15 @@ def test_parse_scope_forms():
         pytest.param("lemma1", "exhaustive_k4 --jobs 0", 2, id="lemma1-exhaustive_k4-jobs0-2"),
         pytest.param("lemma_b", "exhaustive_normalized:6 --jobs -3", 2,
                      id="lemma_b-exhaustive_normalized:6-jobs-3-2"),
+        # a negative seed, refused by name before any row is drawn
+        pytest.param("lemma_b", "random:6:5 --seed -3", 2, id="lemma_b-random:6:5-seed-3-2"),
         # scope objects handed to verify directly, past the scope parser
         pytest.param("lemma1", lambda: ExhaustiveNormalized(2), 2,
                      id="lemma1-ExhaustiveNormalized(2)-2"),
         pytest.param("lemma1", lambda: RandomScope(6, -3, 0), 2,
                      id="lemma1-RandomScope(6,-3,0)-2"),
+        pytest.param("lemma1", lambda: RandomScope(6, 5, -3), 2,
+                     id="lemma1-RandomScope(6,5,-3)-2"),
     ],
 )
 def test_degenerate_scopes_are_usage_errors_or_pass(lemma, scope, code, capsys):
@@ -70,7 +74,9 @@ def test_degenerate_scopes_are_usage_errors_or_pass(lemma, scope, code, capsys):
     scope, *options = scope.split()
     assert main(["verify", "--lemma", lemma, "--scope", scope, *options]) == code
     if code == 2:
-        named = f"jobs must be at least 1, got {options[-1]}" if options else repr(scope)
+        least = {"--jobs": 1, "--seed": 0}
+        named = (f"{options[0][2:]} must be at least {least[options[0]]}, got {options[-1]}"
+                 if options else repr(scope))
         assert named in capsys.readouterr().err
     else:
         assert "PASS over 5 seeded" in capsys.readouterr().out

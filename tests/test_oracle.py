@@ -153,10 +153,6 @@ def test_k4_path_report(share_vertex_k4):
     assert all(c % 2 == 0 for c in rep.totals.values())
     assert rep.per_start[1] == (F22.E, F22.E, F22.B, F22.B, F22.C, F22.C)
     assert all(len(ms) == 6 for ms in rep.per_start.values())
-    for group in rep.groups:
-        assert len(group.paths) == 4
-        covered = {v for pair in group.endpoint_pairs for v in pair}
-        assert covered == {1, 2, 3, 4}
 
 
 def test_k4_path_report_requires_n4():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,12 @@ from doublesign import (
     UnsupportedSizeError,
     CaseNotApplicableError,
     CounterexampleCandidateError,
-    InstanceRecord,
+    SignedCompleteGraph,
     WitnessSet,
     WitnessVerificationError,
     apply_switching,
     build_from_four_sign_path,
+    classify_k4,
     construct_witnesses,
     distinct_sign_edge_structure,
     gen_random,
@@ -32,6 +35,7 @@ from doublesign import (
     verify_witness_set,
     walk_sign,
 )
+from doublesign.sweep import allowed_spectrum_mask
 
 
 class TestPredictSpectrum:
@@ -75,6 +79,19 @@ class TestPredictSpectrum:
         assert triangle_census(g4).diversity == 4
         assert predict_spectrum(g4).kind == "full"
         assert predict_spectrum(g4).provenance == "lemma_c"
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_prediction_agrees_with_the_sweep_bound(self, n):
+        # one label x: the all-x graph; two labels x, y: hub 1 normalized,
+        # edge 2-3 labelled y and every other edge x
+        hub = {(1, v): "e" for v in range(2, n + 1)}
+        cases = [(graph_from(n, {}, default=x.render()), {x}) for x in ELEMENTS]
+        cases += [(graph_from(n, hub | {(2, 3): y.render()}, default=x.render()), {x, y})
+                  for x, y in combinations(ELEMENTS, 2)]
+        for g, labels in cases:
+            assert triangle_census(g).signs == labels
+            mask = allowed_spectrum_mask(np.array([sum(1 << s for s in labels)]), n)[0]
+            assert predict_spectrum(g).values == {s for s in ELEMENTS if mask >> s & 1}
 
     def test_small_n_defers_to_enumeration(self, share_vertex_k4):
         p = predict_spectrum(share_vertex_k4)
@@ -421,7 +438,7 @@ def test_a_case_machine_miss_is_loud(monkeypatch, tmp_path, capsys):
         construct_witnesses(g)
 
     path = tmp_path / "g.txt"
-    path.write_text(serialize(InstanceRecord.from_graph(g)))
+    path.write_text(serialize(g))
     assert main(["construct", "--in", str(path)]) == 1
     assert "counterexample candidate:" in capsys.readouterr().err
 
@@ -474,3 +491,29 @@ def test_sampled_exhaustive_indices_build_through_the_case_machine():
             continue
         ws = construct_witnesses(g)
         assert ws.trace.startswith(("lemma_b/", "lemma_c/"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Circle((1, 2.7, 3)),
+    lambda: Path(("1", 2)),
+    lambda: classify_k4(gen_random(6, 1), (1, 2.5, 3, 4)),
+    lambda: SignedCompleteGraph.from_signs(3, [1.9, 2.2, 0.5]),
+    lambda: necklace_construct(TestNecklace().k5_fixture("e"), (1, 2, 3, 4, 5.0), (2, 5)),
+], ids=["circle", "path", "classify_k4", "from_signs", "necklace_construct"])
+def test_non_integer_vertices_and_labels_are_refused(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_numpy_integer_vertices_and_labels_are_read_as_ints():
+    v = np.arange(8)
+    circle = Circle(v[[3, 1, 2]])
+    assert circle == Circle((1, 2, 3)) and type(circle.vertices[0]) is int
+    assert Path(v[[3, 1]]) == Path((1, 3))
+    g = gen_random(6, 1)
+    assert classify_k4(g, v[1:5]) == classify_k4(g, (1, 2, 3, 4))
+    labels = np.array([1, 2, 0], dtype=np.uint8)
+    assert SignedCompleteGraph.from_signs(3, labels) == SignedCompleteGraph(3, b"\x01\x02\x00")
+    ring = TestNecklace().k5_fixture("e")
+    ws = necklace_construct(ring, v[1:6], (2, 5))
+    assert ws == necklace_construct(ring, (1, 2, 3, 4, 5), (2, 5))
