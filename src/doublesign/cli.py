@@ -56,17 +56,21 @@ class SystemExit2(Exception):
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    # build or validate the source before opening --out, so that a usage
+    # error leaves an existing file as it was
+    picked = [x for x in (args.exhaustive_normalized, args.random, args.named) if x is not None]
+    if len(picked) != 1:
+        raise SystemExit2("exactly one of --exhaustive-normalized / --random / --named is required")
+    if args.exhaustive_normalized is not None:
+        family = io_gen.gen_exhaustive_normalized(args.exhaustive_normalized)
+        records = (f"# index {i}\n{io_gen.serialize(g)}\n" for i, g in enumerate(family))
+    elif args.random is not None:
+        records = [io_gen.serialize(io_gen.gen_random(args.random, args.seed))]
+    else:
+        records = [io_gen.serialize(io_gen.named_instance(args.named))]
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
-        if args.exhaustive_normalized is not None:
-            for i, g in enumerate(io_gen.gen_exhaustive_normalized(args.exhaustive_normalized)):
-                out.write(f"# index {i}\n{io_gen.serialize(g)}\n")
-        elif args.random is not None:
-            out.write(io_gen.serialize(io_gen.gen_random(args.random, args.seed)))
-        elif args.named is not None:
-            out.write(io_gen.serialize(io_gen.named_instance(args.named)))
-        else:
-            raise SystemExit2("one of --exhaustive-normalized / --random / --named is required")
+        out.writelines(records)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -62,22 +62,35 @@ def gen_exhaustive_normalized(n: int) -> Iterator[SignedCompleteGraph]:
     """Stream every hub-normalized labeling in index order, lazily.
 
     Supported for 4 <= n <= 7 (the n=7 domain has 4^15 instances; callers
-    are expected to slice it).
+    are expected to slice it); any other n is refused at the call, before
+    the first instance is drawn.
     """
     if not 4 <= n <= 7:
         raise ValueError(f"exhaustive generation supports 4 <= n <= 7, got {n}")
-    for index in range(normalized_domain_size(n)):
-        yield instance_from_index(n, index)
+    return (instance_from_index(n, index) for index in range(normalized_domain_size(n)))
 
 
 # ---------------------------------------------------------------------------
 # Seeded random instances
 # ---------------------------------------------------------------------------
 
+#: The largest n that :func:`gen_random` and ``identity(n)`` build.  Building
+#: a graph peaks at about 4 bytes per cell of its (n + 1)^2 row table
+#: (16.1 MB at n = 2000), so a larger n is refused before any allocation.
+MAX_GENERATED_N = 2000
+
+
+def _check_generated_size(n: int) -> None:
+    if n > MAX_GENERATED_N:
+        raise ValueError(f"n={n} is above MAX_GENERATED_N={MAX_GENERATED_N}")
+
+
 def gen_random(n: int, seed: int) -> SignedCompleteGraph:
-    """Uniform independent edge labels from a deterministic seeded stream."""
+    """Uniform independent edge labels from a deterministic seeded stream
+    (3 <= n <= :data:`MAX_GENERATED_N`)."""
     if n < 3:
         raise ValueError("need n >= 3")
+    _check_generated_size(n)
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -128,7 +141,8 @@ def named_instance(name: str) -> SignedCompleteGraph:
     ``share_vertex_k4``: a K4 with all four triangle labels distinct whose
     three a-labeled edges meet at one vertex.  ``triangle_k4``: same
     triangle labels, but the three a-labeled edges form a triangle.
-    ``identity(n)``: the all-identity graph on n vertices.
+    ``identity(n)``: the all-identity graph on n vertices
+    (3 <= n <= :data:`MAX_GENERATED_N`).
     """
     if name == "share_vertex_k4":
         return build(4, _SHARE_VERTEX_K4)
@@ -141,6 +155,7 @@ def named_instance(name: str) -> SignedCompleteGraph:
             raise ValueError(f"unknown instance name: {name!r}") from None
         if n < 3:
             raise ValueError("identity(n) needs n >= 3")
+        _check_generated_size(n)
         return SignedCompleteGraph(n, bytes(n * (n - 1) // 2))
     raise ValueError(f"unknown instance name: {name!r}")
 

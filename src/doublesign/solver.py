@@ -16,8 +16,11 @@ machine:
 * diversity 4 with an all-distinct K4 — one of three constructions: a
   K5 necklace around a vertex with four distinct-label paths, a
   two-anchor join when some outside vertex sees the K4 with unequal
-  labels, or the constant-bridge constructions when every outside vertex
-  sees it uniformly.
+  labels, or the constant-bridge construction when every outside vertex
+  sees it uniformly.  There four two-edge K4 paths with distinct labels
+  close through the normalized vertex and every outside vertex, which
+  add one constant offset to all four labels, so one circle shape serves
+  every n.
 
 The structures each branch starts from (chained hub triangles, the
 first all-distinct K4) come from :mod:`census`, the one
@@ -251,7 +254,7 @@ def _chained_triple_moves(g: SignedCompleteGraph, quad: Sequence[int], v5: int) 
         (v4, v3, v5, v1, v2, *rest),  # the same base across v1-v3
         (v4, v3, v1, v5, v2, *rest),  # the same base across v1-v2
     ]
-    panel = {3: "left_panel", 4: "right_panel"}.get(z_count, "atypical_panel")
+    panel = {3: "left_panel", 4: "right_panel"}[z_count]
     return _witness_set(g, [Circle(vs) for vs in moves], f"lemma_b/case1/{panel}")
 
 
@@ -348,28 +351,17 @@ def _assemble_four_sign_path(
             degree[v] = degree.get(v, 0) + 1
 
     if structure.case in (2, 3):
+        # the tail starts at the leaf the fourth edge touches (case 2), or
+        # else at the largest leaf, from which the disjoint edge follows
         center = next(v for v, d in degree.items() if d == 3)
-        star = [e for e in edges.values() if center in e]
+        leaves = {
+            next(v for v in e if v != center): s for e, s in sign_of.items() if center in e
+        }
         other = next(e for e in edges.values() if center not in e)
-        if structure.case == 2:
-            attach = next(v for v in other if degree[v] == 2)
-            tail = [attach, next(v for v in other if v != attach)]
-            free_leaves = sorted(
-                (next(v for v in e if v != center), sign_of[e])
-                for e in star
-                if attach not in e
-            )
-        else:
-            u3 = max(next(v for v in e if v != center) for e in star)
-            tail = [u3, min(other), max(other)]
-            free_leaves = sorted(
-                (next(v for v in e if v != center), sign_of[e])
-                for e in star
-                if u3 not in e
-            )
-        (l1, s1), (l2, s2) = free_leaves
+        attach = next((v for v in other if v in leaves), max(leaves))
+        (l1, s1), (l2, s2) = sorted((v, s) for v, s in leaves.items() if v != attach)
         left = oriented_pair(l1, l2, s1, s2)
-        return Path(left + [center] + tail)
+        return Path(left + [center, attach, *sorted(set(other) - {attach})])
 
     # Case 4: maximum degree 2 and acyclic, so components are paths.
     adjacency: dict[int, list[int]] = {}
@@ -420,23 +412,6 @@ def _k4_paths_by_sign(
     return out
 
 
-def _necklace_circles(
-    g: SignedCompleteGraph,
-    z: Sequence[int],
-    quad: Sequence[int],
-    start: int,
-    norm: int,
-    ext: Sequence[int],
-) -> list[Circle]:
-    """Four-label K4 paths from ``start`` closed through ``norm`` (z: its switching row)."""
-    paths = _k4_paths_by_sign(g, z, quad, start)
-    if len(paths) != 4:
-        raise CaseNotApplicableError(
-            f"paths from {start} realize only {sorted(paths)} after normalizing {norm}"
-        )
-    return [Circle(paths[sign] + (norm, *ext)) for sign in ELEMENTS]
-
-
 def necklace_construct(
     g: SignedCompleteGraph,
     k5_vertices: Sequence[int],
@@ -463,9 +438,13 @@ def necklace_construct(
     # triangle labels do not depend on the switching
     if not classify_k4(g, quad).is_all_distinct:
         raise CaseNotApplicableError(f"K4 {quad} does not have four distinct triangle labels")
+    paths = _k4_paths_by_sign(g, g.rows[norm], quad, start)
+    if len(paths) != 4:
+        raise CaseNotApplicableError(
+            f"paths from {start} realize only {sorted(paths)} after normalizing {norm}"
+        )
     ext = sorted(set(g.vertices()) - set(k5))
-    circles = _necklace_circles(g, g.rows[norm], quad, start, norm, ext)
-    return _witness_set(g, circles, "necklace")
+    return _witness_set(g, [Circle(paths[s] + (norm, *ext)) for s in ELEMENTS], "necklace")
 
 
 def _case_beta_two_anchor(
@@ -483,10 +462,9 @@ def _case_beta_two_anchor(
     everything.  Labels are read with v5 normalized (``z = rows[v5]``).
     """
     entry = {u: g.rows[u][v6] ^ z[u] for u in quad}  # z[v6] is common to all four
-    unequal = [(qa, qb) for qa, qb in combinations(sorted(quad), 2) if entry[qa] != entry[qb]]
-    if not unequal:
-        raise CounterexampleCandidateError("two-anchor join: no unequal edge pair at v6")
-    anchors = unequal[0]
+    anchors = next(
+        (qa, qb) for qa, qb in combinations(sorted(quad), 2) if entry[qa] != entry[qb]
+    )
     mid = sorted(set(g.vertices()) - set(quad) - {v5, v6})
     circles = []
     for u in anchors:
@@ -497,83 +475,58 @@ def _case_beta_two_anchor(
 
 def _case_beta_constant_bridges(
     g: SignedCompleteGraph,
-    z: Sequence[int],
     quad: tuple[int, ...],
     v5: int,
-    triple: CommonSignTriple | None,
+    triple: CommonSignTriple,
 ) -> WitnessSet:
     """Every outside vertex sees the K4 with one constant label.
 
-    Bridging through such vertices contributes each constant twice, so a
-    circle's label reduces to what it picks up inside the K4.  At n = 6
-    the four two-edge K4 paths with distinct labels embed directly; for
-    larger n each of four distinct-label K4 edges rides a fixed frame
-    through two bridges and the normalized vertex.  Labels, and the K4's
-    common-label ``triple``, are read with v5 normalized (``z = rows[v5]``).
+    Read with v5 normalized (where the K4 has the common-label
+    ``triple``), the circle (a, w, b, v5, c, *outside) takes two identity
+    edges at v5, and each outside vertex meets every K4 vertex with one
+    label, so its edges from c and back to a, like the walk through the
+    outside vertices, carry labels that do not depend on a, b, c or w.
+    Its label is therefore the label of the K4 path a-w-b plus one
+    constant offset.  The four pairs of edges chosen here (two outside
+    the triple, or the least two of the triple) each share one vertex w
+    and give four K4 paths with distinct labels, so the four circles have
+    distinct labels at every n.
     """
-    if triple is None:
-        raise CounterexampleCandidateError("constant-bridge case without a common-label triple")
     outside = sorted(set(g.vertices()) - set(quad) - {v5})
-    quad_edges = sorted((u, v) for u, v in combinations(sorted(quad), 2))
-
-    if g.n == 6:
-        v6 = outside[0]
-        other_edges = sorted(e for e in quad_edges if e not in triple.edges)
-        pairs = list(combinations(other_edges, 2)) + [
-            tuple(sorted(triple.edges)[:2])
-        ]
-        circles = []
-        for e1, e2 in pairs:
-            shared = set(e1) & set(e2)
-            if len(shared) != 1:
-                raise CounterexampleCandidateError(f"edges {e1}, {e2} do not share one vertex")
-            wmid = shared.pop()
-            a, b = sorted((set(e1) | set(e2)) - {wmid})
-            vc = next(v for v in quad if v not in (a, b, wmid))
-            circles.append(Circle((a, wmid, b, v5, vc, v6)))
-        return _witness_set(g, circles, "lemma_c/case_beta/case3a")
-
-    v6, v7 = outside[0], outside[1]
-    mid = sorted(set(outside) - {v6, v7})
-    anchor = max(quad)
-    chosen: dict[int, tuple[int, int]] = {}
-    for u, v in quad_edges:
-        chosen.setdefault(g.rows[u][v] ^ z[u] ^ z[v], (u, v))
-    if len(chosen) != 4:
-        raise CounterexampleCandidateError(f"K4 edges realize only {sorted(chosen)}")
+    other_edges = sorted(e for e in combinations(sorted(quad), 2) if e not in triple.edges)
+    pairs = [*combinations(other_edges, 2), tuple(sorted(triple.edges)[:2])]
     circles = []
-    for sign in ELEMENTS:
-        u, v = chosen[sign]
-        if anchor in (u, v):
-            other = u if v == anchor else v
-            r2, s2 = sorted(set(quad) - {other, anchor})
-            circles.append(Circle((other, anchor, *mid, v5, r2, v6, s2, v7)))
-        else:
-            s3 = next(w for w in quad if w not in (u, v, anchor))
-            circles.append(Circle((u, v, v6, s3, v7, anchor, *mid, v5)))
-    return _witness_set(g, circles, "lemma_c/case_beta/case3b")
+    for e1, e2 in pairs:
+        (w,) = set(e1) & set(e2)
+        a, b = sorted({*e1, *e2} - {w})
+        (c,) = set(quad) - {a, b, w}
+        circles.append(Circle((a, w, b, v5, c, *outside)))
+    return _witness_set(g, circles, "lemma_c/case_beta/case3a")
 
 
 def _construct_case_beta(g: SignedCompleteGraph, quad: tuple[int, ...]) -> WitnessSet:
     rows = g.rows
     outside = [v for v in g.vertices() if v not in quad]
+    kept = None  # the common triple at outside[0]
     for v5 in outside:
         z = rows[v5]  # normalizes v5: edge u-v reads z[u] ^ rows[u][v] ^ z[v]
-        if find_common_triple(g, quad, z) is None:
+        triple = find_common_triple(g, quad, z)
+        if triple is None:
             ext = [v for v in outside if v != v5]
             for start in quad:
-                try:
-                    circles = _necklace_circles(g, z, quad, start, v5, ext)
-                except CaseNotApplicableError:
-                    continue
-                return _witness_set(g, circles, "lemma_c/case_beta/case1")
+                paths = _k4_paths_by_sign(g, z, quad, start)
+                if len(paths) == 4:
+                    circles = [Circle(paths[s] + (v5, *ext)) for s in ELEMENTS]
+                    return _witness_set(g, circles, "lemma_c/case_beta/case1")
             raise CounterexampleCandidateError("triple-free normalization but no four-label start")
+        if kept is None:
+            kept = triple
     v5 = outside[0]
     z = rows[v5]
     for v6 in outside[1:]:
         if len({rows[u][v6] ^ z[u] for u in quad}) > 1:
             return _case_beta_two_anchor(g, z, quad, v5, v6)
-    return _case_beta_constant_bridges(g, z, quad, v5, find_common_triple(g, quad, z))
+    return _case_beta_constant_bridges(g, quad, v5, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,8 @@ def _construct_entries():
     for n, index, _ in BRANCH_FIXTURES:
         name = f"fixture/{index}" if n == 6 else f"fixture/{n}/{index}"
         yield name, _construct_payload(instance_from_index(n, index))
-    # case_beta/case3b occurs on none of the sampled inputs
+    # above n = 6 the constant-bridge case (case_beta/case3a) occurs on none
+    # of the sampled inputs
     for n in (7, 9):
         yield f"constant_bridge/{n}", _construct_payload(constant_bridge_fixture(n))
     for index in _n6_indices():

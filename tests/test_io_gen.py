@@ -21,7 +21,7 @@ from doublesign import (
     triangle_sign,
 )
 from doublesign.cli import main
-from doublesign.io_gen import normalized_domain_size, random_sign_matrix
+from doublesign.io_gen import MAX_GENERATED_N, normalized_domain_size, random_sign_matrix
 
 
 class TestExhaustiveFamily:
@@ -45,7 +45,7 @@ class TestExhaustiveFamily:
         with pytest.raises(ValueError):
             instance_from_index(4, 64)
         with pytest.raises(ValueError):
-            list(gen_exhaustive_normalized(8))
+            gen_exhaustive_normalized(8)
 
 
 class TestRandom:
@@ -61,6 +61,41 @@ class TestRandom:
             gen_random(7, -1)
         assert main(["construct", "--random", "7", "--seed", "-1"]) == 2
         assert "seed must be at least 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("call", [
+        lambda: gen_random(MAX_GENERATED_N + 1, 0),
+        lambda: gen_random(100_000, 0),
+        lambda: named_instance(f"identity({MAX_GENERATED_N + 1})"),
+        lambda: named_instance("identity(100000)"),
+        lambda: main(["census", "--random", "100000"]),
+        lambda: main(["construct", "--named", "identity(100000)"]),
+        lambda: main(["gen", "--random", "100000"]),
+    ], ids=["random-above", "random", "identity-above", "identity", "cli-census",
+            "cli-construct", "cli-gen"])
+    def test_oversized_instances_are_refused_fast_and_small(self, call, capsys):
+        tracemalloc.start()
+        begin = time.perf_counter()
+        try:
+            try:
+                result = call()
+            except ValueError as exc:
+                result = str(exc)
+            elapsed = time.perf_counter() - begin
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 1 << 20
+        if isinstance(result, str):  # the library call's ValueError
+            message = result
+        else:
+            assert result == 2
+            message = capsys.readouterr().err
+        assert f"is above MAX_GENERATED_N={MAX_GENERATED_N}" in message
+
+    def test_the_size_bound_admits_the_documented_sizes(self):
+        assert MAX_GENERATED_N >= 200
+        assert gen_random(MAX_GENERATED_N, 0).n == MAX_GENERATED_N
+        assert named_instance(f"identity({MAX_GENERATED_N})").n == MAX_GENERATED_N
 
     def test_matrix_matches_scalar_generator(self):
         mat = random_sign_matrix(6, range(40, 60))
@@ -253,6 +288,20 @@ class TestCli:
 
     def test_instance_source_is_required(self):
         assert main(["census"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--random", "2"],
+        ["--exhaustive-normalized", "8"],
+        ["--random", "4", "--named", "identity(3)"],
+        ["--random", "7", "--seed", "-1"],
+    ], ids=["no-source", "random-2", "exhaustive-8", "two-sources", "negative-seed"])
+    def test_gen_usage_error_leaves_the_out_file_as_it_was(self, argv, tmp_path, capsys):
+        path = tmp_path / "keep.txt"
+        path.write_text("n=3\n1 2 a\n1 3 b\n2 3 c\n")
+        assert main(["gen", *argv, "--out", str(path)]) == 2
+        assert path.read_text() == "n=3\n1 2 a\n1 3 b\n2 3 c\n"
+        assert capsys.readouterr().err.startswith(("usage error: ", "error: "))
 
     def test_stdin_instance(self, monkeypatch, capsys):
         import io as _io

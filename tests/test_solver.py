@@ -1,4 +1,5 @@
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from doublesign import (
     verify_witness_set,
     walk_sign,
 )
+from doublesign.census import find_common_triple
+from doublesign.graph import edge_index
 from doublesign.sweep import allowed_spectrum_mask
 
 
@@ -185,7 +188,7 @@ def test_common_branches_build_no_switched_graph(monkeypatch):
         (instance_from_index(n, index), construct_witnesses, trace)
         for n, index, trace in BRANCH_FIXTURES
     ]
-    cases.append((constant_bridge_fixture(7), construct_witnesses, "lemma_c/case_beta/case3b"))
+    cases.append((constant_bridge_fixture(7), construct_witnesses, "lemma_c/case_beta/case3a"))
     cases.append((TestNecklace().k5_fixture("b"),
                   lambda g: necklace_construct(g, (1, 2, 3, 4, 5), (2, 5)), "necklace"))
     for g, build, trace in cases:
@@ -231,9 +234,38 @@ def constant_bridge_fixture(n: int):
 def test_constant_bridge_branch(n):
     g = constant_bridge_fixture(n)
     ws = construct_witnesses(g)
-    assert ws.trace == "lemma_c/case_beta/case3b"
+    assert ws.trace == "lemma_c/case_beta/case3a"
     assert ws.signs == frozenset(ELEMENTS)
     assert hamiltonian_spectrum(g).realized == frozenset(ELEMENTS)
+
+
+def seeded_constant_bridge(n: int, seed: int):
+    # uniform labels, redrawn until the K4 on 1-4 is all-distinct with a
+    # common-label triple at vertex 5; then every later vertex w sees the
+    # K4 as vertex 5 does, shifted by one label k_w
+    rng = np.random.default_rng(seed)
+    while True:
+        buf = bytearray(rng.integers(0, 4, n * (n - 1) // 2, dtype=np.uint8).tobytes())
+        for w in range(6, n + 1):
+            k_w = int(rng.integers(4))
+            for u in (1, 2, 3, 4):
+                buf[edge_index(n, u, w)] = buf[edge_index(n, u, 5)] ^ k_w
+        g = SignedCompleteGraph(n, bytes(buf))
+        if classify_k4(g, (1, 2, 3, 4)).is_all_distinct and find_common_triple(
+            g, (1, 2, 3, 4), g.rows[5]
+        ):
+            return g
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_one_constant_bridge_construction_at_every_n(n):
+    for seed in range(20):
+        g = seeded_constant_bridge(n, seed)
+        ws = construct_witnesses(g)
+        assert ws.trace == "lemma_c/case_beta/case3a"
+        verify_witness_set(g, ws)
+        if n <= 9:
+            assert hamiltonian_spectrum(g).realized == frozenset(ELEMENTS)
 
 
 def test_chained_triple_branch_at_n8():
@@ -288,6 +320,29 @@ class TestChainedTripleConstruction:
         expected = {k ^ x ^ z, k ^ y ^ z, k, k ^ x ^ y}
         assert construct_witnesses(g).signs == expected
 
+    def test_every_chained_k5_labeling_finds_a_panel(self):
+        # hub 1, chain a-b-c-5 with vertex 5 normalized: over all 4^6
+        # labelings of the K4 on 1-4 and every order of the chain, each
+        # diversity-3 K5 whose chained hub triangles carry three labels
+        # finds a frame in one of the two panels
+        from doublesign.solver import _chained_triple_moves
+
+        quad_edges = list(combinations((1, 2, 3, 4), 2))
+        panels = Counter()
+        for labels in product(range(4), repeat=6):
+            buf = bytearray(10)
+            for (u, v), s in zip(quad_edges, labels):
+                buf[edge_index(5, u, v)] = s
+            g = SignedCompleteGraph(5, bytes(buf))
+            if triangle_census(g).diversity != 3:
+                continue
+            r = g.rows
+            for a, b, c in permutations((2, 3, 4)):
+                chained = {r[1][a] ^ r[a][b] ^ r[1][b], r[1][b] ^ r[b][c] ^ r[1][c], r[1][c]}
+                if len(chained) == 3:
+                    panels[_chained_triple_moves(g, (1, a, b, c), 5).trace] += 1
+        assert panels == {"lemma_b/case1/left_panel": 576, "lemma_b/case1/right_panel": 144}
+
 
 class TestFourSignPath:
     def normalized_fixture(self):
@@ -336,8 +391,6 @@ class TestNecklace:
         return graph_from(7, labels)
 
     def path_signs_from_2(self, g):
-        from itertools import permutations
-
         out = {}
         for perm in permutations((1, 3, 4)):
             p = Path((2,) + perm)
