@@ -12,15 +12,22 @@ labels themselves.  :func:`spectrum_mask` states the law that turns
 triangle labels into allowed circle labels, once, for the solver's
 prediction and the sweep's bound.  Everything here is read-only over
 immutable graphs.
+
+Every K4-local decision of the solver's case machine (the common-label
+triple, the least path per label from each start, the lemma_b frame)
+depends only on the K4's six switched edge labels, 12 bits.  One cache,
+:func:`k4_pattern`, makes each decision once per label pattern: it is
+keyed by that 12-bit int, so it never holds more than 4,096 entries,
+and it fills on first use.  The triangle census does not read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import index
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .graph import SignedCompleteGraph, edge_index
 from .group import ELEMENTS, F22
@@ -127,6 +134,12 @@ class CommonSignTriple:
     shape: str  # "star" | "triangle"
     edges: frozenset[tuple[int, int]]
 
+    def on(self, qs: Sequence[int]) -> "CommonSignTriple":
+        """This triple with local vertex i renamed ``qs[i]`` (edges added in
+        sorted order, so the set iterates as a direct read builds it)."""
+        renamed = frozenset((qs[u], qs[v]) for u, v in sorted(self.edges))
+        return CommonSignTriple(self.sign, self.shape, renamed)
+
 
 @dataclass(frozen=True)
 class K4Class:
@@ -150,31 +163,126 @@ class K4Class:
         return self.kind == "all_distinct"
 
 
+#: The six edges of a K4 on local vertices 0..3, in ``combinations``
+#: order; edge k holds bits 2k and 2k + 1 of a :func:`k4_pattern` key.
+K4_EDGES = tuple(combinations(range(4), 2))
+
+#: The 24 orders of the local vertices, lexicographic: the paths and
+#: frames of every pattern share these tuples.
+_ORDERS = tuple(permutations(range(4)))
+
+
+class K4Pattern(NamedTuple):
+    """Every K4-local decision of the case machine for one label pattern.
+
+    Vertices are local indices 0..3, the positions in the sorted quad.
+    ``triple`` is the common-label triple or None; ``paths[i][s]`` is the
+    least Hamiltonian path from i with label s, or None; ``frame`` is the
+    first lemma_b frame, or None, and ``panel`` its panel, or None when
+    there is no frame or it lies in neither panel.
+    """
+
+    triple: Optional[CommonSignTriple]
+    paths: tuple[tuple[Optional[tuple[int, int, int, int]], ...], ...]
+    frame: Optional[tuple[int, int, int, int]]
+    panel: Optional[str]
+
+
+def k4_key(rows: Sequence[bytes], qs: Sequence[int], z: Optional[Sequence[int]] = None) -> int:
+    """The :func:`k4_pattern` key of the K4 on the sorted vertices ``qs``,
+    edge u-v read as ``z[u] ^ rows[u][v] ^ z[v]`` under the switching ``z``
+    (ints by vertex; ``rows[v]`` normalizes v), if any.  ``qs`` is not
+    checked: callers pass four ascending vertices of the graph."""
+    a, b, c, d = qs
+    ra, rb = rows[a], rows[b]
+    if z is None:
+        return ra[b] | ra[c] << 2 | ra[d] << 4 | rb[c] << 6 | rb[d] << 8 | rows[c][d] << 10
+    za, zb, zc, zd = z[a], z[b], z[c], z[d]
+    return (
+        (ra[b] ^ za ^ zb)
+        | (ra[c] ^ za ^ zc) << 2
+        | (ra[d] ^ za ^ zd) << 4
+        | (rb[c] ^ zb ^ zc) << 6
+        | (rb[d] ^ zb ^ zd) << 8
+        | (rows[c][d] ^ zc ^ zd) << 10
+    )
+
+
+@lru_cache(maxsize=None)
+def k4_pattern(key: int) -> K4Pattern:
+    """The case machine's K4-local decisions for one 12-bit label pattern.
+
+    ``key`` is ``sum(label_k << 2k)`` over :data:`K4_EDGES`, so the cache
+    holds at most 4,096 entries, filled on first use.  Callers map the
+    local indices back through the sorted quad; that map is monotone, so
+    every lexicographic tie-break below is the one on the real vertices.
+
+    * The common-label triple: the three edges that alone carry a label,
+      when they form a star or a triangle, first such label in group
+      order.
+    * Per start, the least Hamiltonian path per label; a switching acts
+      on a path's label at its two ends only.
+    * The lemma_b frame (v1, v2, v3, v4), read with v5 normalized: the
+      first permutation whose triangles v1-v2-v3 and v1-v3-v4 carry
+      labels x != y and whose four vertex-insertion shifts x + s(v1-v4),
+      y + s(v3-v4), y + s(v1-v3), y + s(v1-v2) are distinct; its panel
+      is left when three K4 edges carry the label of v1-v4, right when
+      all six do.
+    """
+    if not 0 <= key < 4096:  # checked on a miss only, so the cache stays bounded
+        raise ValueError(f"K4 pattern key {key} outside 0..4095")
+    s = [[0] * 4 for _ in range(4)]
+    by_sign: dict[int, list[tuple[int, int]]] = {}
+    for k, edge in enumerate(K4_EDGES):
+        u, v = edge
+        s[u][v] = s[v][u] = label = key >> 2 * k & 3
+        by_sign.setdefault(label, []).append(edge)
+
+    triple = None
+    for sign in ELEMENTS:
+        edges = by_sign.get(sign, [])
+        if len(edges) != 3:
+            continue
+        if set(edges[0]) & set(edges[1]) & set(edges[2]):
+            triple = CommonSignTriple(sign, "star", frozenset(edges))
+        elif len({w for e in edges for w in e}) == 3:
+            triple = CommonSignTriple(sign, "triangle", frozenset(edges))
+        else:
+            continue
+        break
+
+    least: list[list[Optional[tuple[int, int, int, int]]]] = [[None] * 4 for _ in range(4)]
+    for path in _ORDERS:  # by start, then lexicographically
+        a, b, c, d = path
+        label = s[a][b] ^ s[b][c] ^ s[c][d]
+        if least[a][label] is None:
+            least[a][label] = path
+    paths = tuple(map(tuple, least))
+
+    frame = panel = None
+    for order in _ORDERS:
+        i1, i2, i3, i4 = order
+        x = s[i1][i2] ^ s[i1][i3] ^ s[i2][i3]
+        y = s[i1][i3] ^ s[i1][i4] ^ s[i3][i4]
+        if x != y and len({x ^ s[i1][i4], y ^ s[i3][i4], y ^ s[i1][i3], y ^ s[i1][i2]}) == 4:
+            frame = order
+            shared = sum(s[u][v] == s[i1][i4] for u, v in K4_EDGES)
+            panel = {3: "left_panel", 4: "right_panel"}.get(shared)
+            break
+    return K4Pattern(triple, paths, frame, panel)
+
+
 def find_common_triple(
     g: SignedCompleteGraph, quad: Sequence[int], z: Optional[Sequence[int]] = None
 ) -> Optional[CommonSignTriple]:
     """The three edges of the K4 on ``quad`` that alone carry one label,
     when they form a star or a triangle (first such label in group order),
-    or None.  Edge u-v is read as ``z[u] ^ rows[u][v] ^ z[v]`` under the
-    switching ``z`` (ints by vertex; ``g.rows[v]`` normalizes v), if any.
+    or None, read under the switching ``z`` as :func:`k4_key` reads it.
     ``quad`` is not checked: callers pass four distinct vertices of ``g``,
     as :func:`classify_k4` does for an all-distinct K4."""
-    rows = g.rows
-    z = bytes(g.n + 1) if z is None else z
-    by_sign: dict[int, list[tuple[int, int]]] = {}
-    for u, v in combinations(sorted(quad), 2):
-        by_sign.setdefault(rows[u][v] ^ z[u] ^ z[v], []).append((u, v))
-    for s in ELEMENTS:
-        edges = by_sign.get(s, [])
-        if len(edges) != 3:
-            continue
-        verts = [w for e in edges for w in e]
-        common = set(edges[0]) & set(edges[1]) & set(edges[2])
-        if common:
-            return CommonSignTriple(s, "star", frozenset(edges))
-        if len(set(verts)) == 3:
-            return CommonSignTriple(s, "triangle", frozenset(edges))
-    return None
+    qs = sorted(quad)
+    triple = k4_pattern(k4_key(g.rows, qs, z)).triple
+    return None if triple is None else triple.on(qs)
 
 
 def classify_k4(g: SignedCompleteGraph, quad: Sequence[int]) -> K4Class:

@@ -237,10 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (io_gen.ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (io_gen.ParseError, ValueError, OSError) as exc:
+        # OSError: --in or --out names a missing file, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -130,13 +130,11 @@ def build(n: int, signs: Iterable[tuple[int, int, F22]]) -> SignedCompleteGraph:
     return SignedCompleteGraph(n, bytes(buf))
 
 
-def _check_distinct(vertices: Sequence[int], least: int, kind: str) -> tuple[int, ...]:
-    vs = tuple(map(index, vertices))  # TypeError on a non-integer vertex
+def _refuse(vs: tuple[int, ...], least: int, kind: str) -> None:
+    """Raise ``ValueError`` for a walk ``vs`` that is too short or repeats a vertex."""
     if len(vs) < least:
         raise ValueError(f"a {kind} needs at least {least} vertices, got {len(vs)}")
-    if len(set(vs)) != len(vs):
-        raise ValueError(f"repeated vertex in {kind}: {vs}")
-    return vs
+    raise ValueError(f"repeated vertex in {kind}: {vs}")
 
 
 class Circle:
@@ -150,7 +148,9 @@ class Circle:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: Sequence[int]):
-        vs = _check_distinct(vertices, 3, "circle")
+        vs = tuple(map(index, vertices))  # TypeError on a non-integer vertex
+        if len(vs) < 3 or len(set(vs)) != len(vs):
+            _refuse(vs, 3, "circle")
         k = vs.index(min(vs))
         vs = vs[k:] + vs[:k]
         self.vertices = vs if vs[1] < vs[-1] else vs[:1] + vs[:0:-1]
@@ -180,7 +180,9 @@ class Path:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: Sequence[int]):
-        vs = _check_distinct(vertices, 2, "path")
+        vs = tuple(map(index, vertices))  # TypeError on a non-integer vertex
+        if len(vs) < 2 or len(set(vs)) != len(vs):
+            _refuse(vs, 2, "path")
         self.vertices = min(vs, tuple(reversed(vs)))
 
     def __len__(self) -> int:
@@ -222,11 +224,16 @@ def walk_sign(g: SignedCompleteGraph, walk: Circle | Path) -> F22:
     label group is commutative and the traversed edge set is the same.
     """
     vs = walk.vertices
-    g.check_vertices(*vs)
+    if min(vs) < 1 or max(vs) > g.n:  # a negative index would read another row
+        raise ValueError(f"vertex out of range for n={g.n}: {vs}")
     rows = g.rows
-    acc = rows[vs[-1]][vs[0]] if isinstance(walk, Circle) else 0
-    for u, v in zip(vs, vs[1:]):
-        acc ^= rows[u][v]
+    # a circle closes from its last vertex; a path's first step reads the
+    # diagonal, which is 0
+    prev = vs[-1] if isinstance(walk, Circle) else vs[0]
+    acc = 0
+    for v in vs:
+        acc ^= rows[prev][v]
+        prev = v
     return ELEMENTS[acc]
 
 

@@ -26,6 +26,10 @@ The structures each branch starts from (chained hub triangles, the
 first all-distinct K4) come from :mod:`census`, the one
 module that reads triangle and K4 labels off a graph's row table; a call
 makes one census pass and builds no table of all triangles or K4s.
+Every read of one K4 under one switching (its common-label triple, the
+least path per label from a start, the lemma_b frame) is a lookup in the
+one cache :func:`census.k4_pattern`, keyed by the K4's 12-bit label
+pattern and so bounded at 4,096 entries.
 
 No branch builds a normalized graph.  Each reads v's normalization off
 the input as the switching ``z = rows[v]`` (edge u-w:
@@ -42,20 +46,23 @@ contradicting a lemma, and raises :class:`CounterexampleCandidateError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import index
 from typing import Sequence
 
 from .census import (
+    K4_EDGES,
     CommonSignTriple,
     EdgeStructure,
+    K4Pattern,
     TheoryViolationError,
     TriangleCensus,
     classify_k4,
     distinct_sign_edge_structure,
-    find_common_triple,
     find_consecutive_distinct_triple,
     first_all_distinct_k4,
+    k4_key,
+    k4_pattern,
     spectrum_mask,
     triangle_census,
 )
@@ -220,33 +227,18 @@ def _chained_triple_moves(g: SignedCompleteGraph, quad: Sequence[int], v5: int) 
     base circles avoiding v5 differ by where v3 sits, and inserting v5
     across the edges v1-v4, v3-v4, v1-v3, v1-v2 shifts their labels by
     those edges' labels — exact arithmetic, so the frame that makes all
-    four results distinct can be selected before building anything.  The
-    admissible assignments fall into two label patterns, and in each
-    some frame works.
+    four results distinct is selected before building anything, once per
+    K4 label pattern (:func:`census.k4_pattern`).  The admissible
+    assignments fall into two label patterns, and in each some frame
+    works.
     """
-    r, z = g.rows, g.rows[v5]
     qs = sorted(quad)
-    s = [[r[a][b] ^ z[a] ^ z[b] for b in qs] for a in qs]  # labels at v5 normalized
-    frame = None
-    for i1, i2, i3, i4 in permutations(range(4)):
-        x = s[i1][i2] ^ s[i1][i3] ^ s[i2][i3]
-        y = s[i1][i3] ^ s[i1][i4] ^ s[i3][i4]
-        if x == y:
-            continue
-        moves_arith = {
-            x ^ s[i1][i4],
-            y ^ s[i3][i4],
-            y ^ s[i1][i3],
-            y ^ s[i1][i2],
-        }
-        if len(moves_arith) == 4:
-            frame = (i1, i2, i3, i4)
-            break
-    if frame is None:
-        raise CounterexampleCandidateError("lemma_b/case1: no frame yields four distinct labels")
-    z14 = s[frame[0]][frame[3]]
-    z_count = sum(1 for a, b in combinations(range(4), 2) if s[a][b] == z14)
-    v1, v2, v3, v4 = (qs[i] for i in frame)
+    pattern = k4_pattern(k4_key(g.rows, qs, g.rows[v5]))
+    if pattern.panel is None:
+        raise CounterexampleCandidateError(
+            "lemma_b/case1: no frame of either panel yields four distinct labels"
+        )
+    v1, v2, v3, v4 = (qs[i] for i in pattern.frame)
     rest = [v for v in g.vertices() if v not in qs and v != v5]
     moves = [
         (v4, v5, v1, v3, v2, *rest),  # base (v4, v1, v3, v2, *rest) across v1-v4
@@ -254,8 +246,7 @@ def _chained_triple_moves(g: SignedCompleteGraph, quad: Sequence[int], v5: int) 
         (v4, v3, v5, v1, v2, *rest),  # the same base across v1-v3
         (v4, v3, v1, v5, v2, *rest),  # the same base across v1-v2
     ]
-    panel = {3: "left_panel", 4: "right_panel"}[z_count]
-    return _witness_set(g, [Circle(vs) for vs in moves], f"lemma_b/case1/{panel}")
+    return _witness_set(g, [Circle(vs) for vs in moves], f"lemma_b/case1/{pattern.panel}")
 
 
 def _construct_diversity3(g: SignedCompleteGraph) -> WitnessSet:
@@ -400,16 +391,15 @@ def _construct_case_alpha(g: SignedCompleteGraph) -> WitnessSet:
 # ---------------------------------------------------------------------------
 
 def _k4_paths_by_sign(
-    g: SignedCompleteGraph, z: Sequence[int], quad: Sequence[int], start: int
+    pattern: K4Pattern, qs: Sequence[int], start: int
 ) -> dict[int, tuple[int, ...]]:
-    """Least Hamiltonian path of the induced K4 from ``start`` per label,
-    switched by ``z``, which acts on a path's label at its two ends only."""
-    others = sorted(v for v in quad if v != start)
-    r = g.rows
-    out: dict[int, tuple[int, ...]] = {}
-    for a, b, c in permutations(others):
-        out.setdefault(r[start][a] ^ r[a][b] ^ r[b][c] ^ z[start] ^ z[c], (start, a, b, c))
-    return out
+    """Least Hamiltonian path per label of the K4 on the sorted ``qs``
+    from ``qs[start]``, with the labels ``pattern`` was keyed by."""
+    return {
+        s: tuple(qs[i] for i in path)
+        for s, path in enumerate(pattern.paths[start])
+        if path is not None
+    }
 
 
 def necklace_construct(
@@ -438,7 +428,9 @@ def necklace_construct(
     # triangle labels do not depend on the switching
     if not classify_k4(g, quad).is_all_distinct:
         raise CaseNotApplicableError(f"K4 {quad} does not have four distinct triangle labels")
-    paths = _k4_paths_by_sign(g, g.rows[norm], quad, start)
+    paths = _k4_paths_by_sign(
+        k4_pattern(k4_key(g.rows, quad, g.rows[norm])), quad, quad.index(start)
+    )
     if len(paths) != 4:
         raise CaseNotApplicableError(
             f"paths from {start} realize only {sorted(paths)} after normalizing {norm}"
@@ -451,6 +443,7 @@ def _case_beta_two_anchor(
     g: SignedCompleteGraph,
     z: Sequence[int],
     quad: tuple[int, ...],
+    pattern: K4Pattern,
     v5: int,
     v6: int,
 ) -> WitnessSet:
@@ -459,16 +452,15 @@ def _case_beta_two_anchor(
     The K4 path labels from any vertex cover exactly three values here;
     entering the circle through edges of two different labels at v6
     shifts the three values by two different offsets, whose union is
-    everything.  Labels are read with v5 normalized (``z = rows[v5]``).
+    everything.  Labels are read with v5 normalized (``z = rows[v5]``,
+    under which ``pattern`` was keyed).
     """
-    entry = {u: g.rows[u][v6] ^ z[u] for u in quad}  # z[v6] is common to all four
-    anchors = next(
-        (qa, qb) for qa, qb in combinations(sorted(quad), 2) if entry[qa] != entry[qb]
-    )
+    entry = [g.rows[u][v6] ^ z[u] for u in quad]  # z[v6] is common to all four
+    anchors = next((i, j) for i, j in K4_EDGES if entry[i] != entry[j])
     mid = sorted(set(g.vertices()) - set(quad) - {v5, v6})
     circles = []
-    for u in anchors:
-        for sign, path in sorted(_k4_paths_by_sign(g, z, quad, u).items()):
+    for i in anchors:
+        for sign, path in sorted(_k4_paths_by_sign(pattern, quad, i).items()):
             circles.append(Circle(path + (v5, *mid, v6)))
     return _witness_set(g, circles, "lemma_c/case_beta/case2")
 
@@ -505,28 +497,32 @@ def _case_beta_constant_bridges(
 
 
 def _construct_case_beta(g: SignedCompleteGraph, quad: tuple[int, ...]) -> WitnessSet:
+    # ``quad`` comes sorted from first_all_distinct_k4, so K4 pattern
+    # indices map back through it
     rows = g.rows
     outside = [v for v in g.vertices() if v not in quad]
-    kept = None  # the common triple at outside[0]
+    kept = None  # the K4 pattern at outside[0]
     for v5 in outside:
         z = rows[v5]  # normalizes v5: edge u-v reads z[u] ^ rows[u][v] ^ z[v]
-        triple = find_common_triple(g, quad, z)
-        if triple is None:
+        pattern = k4_pattern(k4_key(rows, quad, z))
+        if pattern.triple is None:
             ext = [v for v in outside if v != v5]
-            for start in quad:
-                paths = _k4_paths_by_sign(g, z, quad, start)
-                if len(paths) == 4:
-                    circles = [Circle(paths[s] + (v5, *ext)) for s in ELEMENTS]
+            for paths in pattern.paths:
+                if None not in paths:
+                    circles = [
+                        Circle((quad[i], quad[j], quad[k], quad[m], v5, *ext))
+                        for i, j, k, m in paths
+                    ]
                     return _witness_set(g, circles, "lemma_c/case_beta/case1")
             raise CounterexampleCandidateError("triple-free normalization but no four-label start")
         if kept is None:
-            kept = triple
+            kept = pattern
     v5 = outside[0]
     z = rows[v5]
     for v6 in outside[1:]:
         if len({rows[u][v6] ^ z[u] for u in quad}) > 1:
-            return _case_beta_two_anchor(g, z, quad, v5, v6)
-    return _case_beta_constant_bridges(g, quad, v5, kept)
+            return _case_beta_two_anchor(g, z, quad, kept, v5, v6)
+    return _case_beta_constant_bridges(g, quad, v5, kept.triple.on(quad))
 
 
 # ---------------------------------------------------------------------------

@@ -196,3 +196,89 @@ class TestDistinctSignEdgeStructure:
         g = named_instance("identity(6)")
         with pytest.raises(ValueError, match="not realized"):
             distinct_sign_edge_structure(g, 1)
+
+
+def _plain_k4_decisions(key):
+    """The K4-local decisions of the case machine for one 12-bit pattern,
+    enumerated from their definitions on local vertices 0..3."""
+    label = {}
+    for k, (u, v) in enumerate(combinations(range(4), 2)):
+        label[u, v] = label[v, u] = (key >> 2 * k) & 3
+    edges = list(combinations(range(4), 2))
+
+    triple = None
+    for s in range(4):
+        carrying = [e for e in edges if label[e] == s]
+        if len(carrying) != 3:
+            continue
+        touched = [w for e in carrying for w in e]
+        if any(touched.count(w) == 3 for w in range(4)):
+            triple = (s, "star", frozenset(carrying))
+            break
+        if len(set(touched)) == 3:
+            triple = (s, "triangle", frozenset(carrying))
+            break
+
+    paths = []
+    for start in range(4):
+        least = {}
+        for rest in sorted(permutations(set(range(4)) - {start})):
+            walk = (start, *rest)
+            s = label[walk[0], walk[1]] ^ label[walk[1], walk[2]] ^ label[walk[2], walk[3]]
+            least.setdefault(s, walk)
+        paths.append(tuple(least.get(s) for s in range(4)))
+
+    frame = panel = None
+    for v1, v2, v3, v4 in sorted(permutations(range(4))):
+        x = label[v1, v2] ^ label[v1, v3] ^ label[v2, v3]
+        y = label[v1, v3] ^ label[v1, v4] ^ label[v3, v4]
+        shifts = {x ^ label[v1, v4], y ^ label[v3, v4], y ^ label[v1, v3], y ^ label[v1, v2]}
+        if x != y and len(shifts) == 4:
+            frame = (v1, v2, v3, v4)
+            same = sum(label[e] == label[v1, v4] for e in edges)
+            panel = {3: "left_panel", 4: "right_panel"}.get(same)
+            break
+    return triple, tuple(paths), frame, panel
+
+
+def test_k4_pattern_table_matches_plain_enumeration_on_every_key():
+    from doublesign.census import k4_pattern
+
+    for key in range(4096):
+        triple, paths, frame, panel = _plain_k4_decisions(key)
+        got = k4_pattern(key)
+        if triple is None:
+            assert got.triple is None, key
+        else:
+            assert (got.triple.sign, got.triple.shape, got.triple.edges) == triple, key
+            assert isinstance(got.triple.sign, F22)
+        assert got.paths == paths, key
+        assert (got.frame, got.panel) == (frame, panel), key
+    for key in (-1, 4096):
+        with pytest.raises(ValueError, match="outside 0..4095"):
+            k4_pattern(key)
+    assert k4_pattern.cache_info().currsize <= 4096
+
+
+def test_k4_lookups_map_back_through_the_sorted_quad():
+    # find_common_triple under a switching, on quads of larger graphs,
+    # against the same enumeration over the switched labels
+    from doublesign.census import find_common_triple
+
+    rng = np.random.default_rng(7)
+    for seed in range(200):
+        g = gen_random(9, seed)
+        quad = tuple(int(v) for v in rng.permutation(np.arange(1, 10))[:4])
+        z = g.rows[int(rng.integers(1, 10))]
+        qs = sorted(quad)
+        key = sum(
+            (g.rows[u][v] ^ z[u] ^ z[v]) << 2 * k for k, (u, v) in enumerate(combinations(qs, 2))
+        )
+        expected = _plain_k4_decisions(key)[0]
+        got = find_common_triple(g, quad, z)
+        if expected is None:
+            assert got is None
+        else:
+            s, shape, local = expected
+            assert (got.sign, got.shape) == (s, shape)
+            assert got.edges == frozenset((qs[u], qs[v]) for u, v in local)

@@ -206,9 +206,12 @@ def test_single_label_readers_reject_out_of_range_vertices(bad):
         g.sign(bad, 2)
     with pytest.raises(ValueError, match="out of range"):
         g.sign(2, bad)
-    with pytest.raises(ValueError, match="out of range"):
-        walk_sign(g, Circle((1, 2, bad)))
-    with pytest.raises(ValueError, match="out of range"):
-        walk_sign(g, Path((bad, 3)))
+    # walk_sign names n wherever the vertex sits; read unchecked, a
+    # negative index would return another row's label
+    for vs in ((1, 2, bad), (bad, 2, 3, 4), (1, bad, 3, 4), (5, 2, 3, bad)):
+        for walk in (Circle(vs), Path(vs)):
+            with pytest.raises(ValueError, match="out of range for n=6: "):
+                walk_sign(g, walk)
     with pytest.raises(ValueError, match="out of range"):
         triangle_sign(g, (1, bad, 3))
+

@@ -312,3 +312,14 @@ class TestCli:
         monkeypatch.setattr("sys.stdin", _io.StringIO(text))
         assert main(["census", "--in", "-", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["diversity"] == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--in", "{dir}"],
+        ["gen", "--named", "identity(6)", "--out", "{dir}"],
+    ], ids=["census-in-dir", "gen-out-dir"])
+    def test_a_directory_as_in_or_out_is_one_error_line(self, argv, tmp_path, capsys):
+        assert main([a.format(dir=tmp_path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(tmp_path) in captured.err
