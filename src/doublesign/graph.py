@@ -50,7 +50,9 @@ def _row_table(n: int, signs: bytes) -> tuple[bytes, ...]:
 class SignedCompleteGraph:
     """Complete graph on ``n`` vertices with a total edge-label map.
 
-    ``rows[u][v]`` is the int label of edge {u, v}.  Readers check their
+    ``rows[u][v]`` is the int label of edge {u, v}.  ``signs`` must be
+    ``bytes``, so no caller can change a label after construction;
+    :meth:`from_signs` takes any sequence.  Readers check their
     vertices with :meth:`check_vertices` first: a negative index would
     silently read another row.
     """
@@ -58,6 +60,8 @@ class SignedCompleteGraph:
     __slots__ = ("n", "_signs", "rows")
 
     def __init__(self, n: int, signs: bytes):
+        if not isinstance(signs, bytes):
+            raise TypeError(f"signs must be bytes, got {type(signs).__name__}; use from_signs")
         if n < 2:
             raise ValueError("need at least 2 vertices")
         if len(signs) != n * (n - 1) // 2:

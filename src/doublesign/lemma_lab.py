@@ -2,17 +2,21 @@
 
 Each claim has a stable identifier and a verifier that re-derives it from
 group, graph, census, sweep and oracle primitives — never from the
-constructive solver — so a solver bug cannot vouch for itself.  The
-eight graph claims whose facts the vectorized sweep computes (``lemma1``,
-``lemma5``, ``case_alpha_forest`` and the five spectrum bounds) are each
-one reducer over :class:`sweep.BatchAnalysis` batches, whatever the
-scope: the hub-normalized family, the 4,096 K4 labelings, or seeded
-random rows (n <= the oracle's enumeration bound), so every scope runs
-the same body and records the same stats.  The other claims read their
-labels from :mod:`census` and their paths from the oracle.  Exhaustive
-scopes enumerate their whole domain exactly once; random scopes draw
-seeded instances so a failing report can be replayed from its embedded
-seed.
+constructive solver — so a solver bug cannot vouch for itself.  Three
+claim families are each one check over one domain record, under one loop
+that counts the domain and names each violation by its key:
+
+* the eight graph claims the vectorized sweep computes (``lemma1``,
+  ``lemma5``, ``case_alpha_forest`` and the five spectrum bounds) reduce
+  :class:`sweep.BatchAnalysis` batches of the hub-normalized family, the
+  4,096 K4 labelings or seeded random rows (n <= the oracle's
+  enumeration bound), keyed by index or seed;
+* the six K4 claims read one :class:`K4Record` per K4 labeling, its
+  labels from :mod:`census` and its paths from the oracle, keyed by index;
+* the two group claims read each qualifying quadruple, keyed by tuple.
+
+Exhaustive scopes enumerate their whole domain exactly once; random
+scopes draw seeded instances so a failing report can be replayed.
 
 Claim registry (see ``describe`` for one-line statements):
 
@@ -43,17 +47,18 @@ case_beta           graphs: an all-distinct K4 gives the full spectrum (n > 5)
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Iterable, Optional
+from itertools import combinations, product
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .census import classify_k4, is_forest, triangle_census
+from .census import CommonSignTriple, classify_k4, is_forest, triangle_census
 from .graph import SignedCompleteGraph, all_edges, triangle_sign
 from .group import ELEMENTS, F22, NONZERO, pair_sums
 from .io_gen import free_edges, gen_random, normalized_domain_size, random_sign_matrix
-from .oracle import ENUMERATION_BOUND, hamiltonian_paths_spectrum, k4_path_report
+from .oracle import ENUMERATION_BOUND, k4_path_report
 from .switching import normalize_at
 from . import sweep as sweep_mod
 
@@ -203,7 +208,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# K4 domain helpers
+# K4 domain
 # ---------------------------------------------------------------------------
 
 K4_DOMAIN_SIZE = 4096
@@ -211,29 +216,35 @@ K4_DOMAIN_SIZE = 4096
 
 def k4_from_index(index: int) -> SignedCompleteGraph:
     """The K4 whose six edge labels are the base-4 digits of ``index``."""
-    buf = bytearray(6)
-    for k in range(6):
-        buf[k] = (index >> (2 * k)) & 3
-    return SignedCompleteGraph(4, bytes(buf))
+    return SignedCompleteGraph(4, bytes((index >> (2 * k)) & 3 for k in range(6)))
 
 
-def _k4_domain() -> Iterable[tuple[int, SignedCompleteGraph]]:
+class K4Record(NamedTuple):
+    """One K4 labeling: its triangle labels (123, 124, 134, 234) and
+    common-label triple from :func:`census.classify_k4`; for an
+    all-distinct K4 the frame ``order`` [v1, v2, v3, v4], in which the
+    triangles omitting v1, v4, v3, v2 carry e, a, b, c (else None); and
+    its path labels from :func:`oracle.k4_path_report`."""
+
+    index: int
+    rows: tuple[bytes, ...]
+    tris: tuple[F22, ...]
+    triple: Optional[CommonSignTriple]
+    order: Optional[list[int]]
+    per_start: dict[int, tuple[F22, ...]]
+    totals: dict[F22, int]
+
+
+def _k4_records() -> Iterator[K4Record]:
+    """One record per K4 labeling, in index order."""
     for index in range(K4_DOMAIN_SIZE):
-        yield index, k4_from_index(index)
-
-
-def _canonical_sigma4star(g: SignedCompleteGraph) -> Optional[list[int]]:
-    """Vertex order putting an all-distinct K4 into the fixed label frame.
-
-    Returns [v1, v2, v3, v4] such that the triangle omitting v1 carries
-    the identity and the triangles omitting v4, v3, v2 carry a, b, c —
-    the frame used by the K4 path analysis.  None if not all-distinct.
-    """
-    # Triangle labels in combinations order: 123, 124, 134, 234.
-    omitted = dict(zip(classify_k4(g, (1, 2, 3, 4)).triangle_signs, (4, 3, 2, 1)))
-    if len(omitted) != 4:
-        return None
-    return [omitted[F22.E], omitted[F22.C], omitted[F22.B], omitted[F22.A]]
+        g = k4_from_index(index)
+        k4 = classify_k4(g, (1, 2, 3, 4))
+        omitted = dict(zip(k4.triangle_signs, (4, 3, 2, 1)))
+        order = [omitted[s] for s in (F22.E, F22.C, F22.B, F22.A)] if len(omitted) == 4 else None
+        paths = k4_path_report(g)
+        yield K4Record(index, g.rows, k4.triangle_signs, k4.common_triple, order,
+                       paths.per_start, paths.totals)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +256,7 @@ def _graph_instances(scope: Scope) -> Iterable[tuple[int, SignedCompleteGraph]]:
         for i in range(scope.count):
             yield scope.seed + i, gen_random(scope.n, scope.seed + i)
     elif isinstance(scope, ExhaustiveK4):
-        yield from _k4_domain()
+        yield from enumerate(map(k4_from_index, range(K4_DOMAIN_SIZE)))
     else:
         raise TypeError(f"not an instance scope: {scope}")
 
@@ -340,76 +351,76 @@ def _verify_proposition_norm(scope: Scope, report: VerificationReport, jobs: int
                     )
 
 
-def _verify_lemma11(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _group_claim(hypothesis: Callable, check: Callable) -> Callable:
+    """A verifier running ``check(y1, y2, z1, z2)``, which yields violation
+    details, over every pair of distinct nonzero y1, y2 and distinct z1, z2
+    that meets ``hypothesis``, naming each violation by its tuple."""
+
+    def verifier(scope: Scope, report: VerificationReport, jobs: int) -> None:
+        for quad in product(NONZERO, NONZERO, ELEMENTS, ELEMENTS):
+            y1, y2, z1, z2 = quad
+            if y1 == y2 or z1 == z2 or not hypothesis({y1, y2}, {z1, z2}):
+                continue
+            report.scanned += 1
+            for detail in check(*quad):
+                report.add_violation({"tuple": [str(v) for v in quad], **detail})
+
+    return verifier
+
+
+def _shape(labels: Iterable[F22]) -> list[int]:
+    """The sorted multiplicities of the values in ``labels``."""
+    return sorted(Counter(labels).values())
+
+
+def _lemma11(y1: F22, y2: F22, z1: F22, z2: F22) -> Iterator[dict]:
     """One shared value between the pairs spreads the four sums over all."""
-    for y1 in NONZERO:
-        for y2 in NONZERO:
-            if y1 == y2:
-                continue
-            for z1 in ELEMENTS:
-                for z2 in ELEMENTS:
-                    if z1 == z2:
-                        continue
-                    shared = len({y1, y2} & {z1, z2})
-                    if shared != 1:
-                        continue
-                    report.scanned += 1
-                    if set(pair_sums(y1, y2, z1, z2)) != set(ELEMENTS):
-                        report.add_violation(
-                            {"tuple": [str(v) for v in (y1, y2, z1, z2)]}
-                        )
+    if set(pair_sums(y1, y2, z1, z2)) != set(ELEMENTS):
+        yield {}
 
 
-def _verify_lemma12(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _lemma12(y1: F22, y2: F22, z1: F22, z2: F22) -> Iterator[dict]:
     """Matched or complementary pairs collapse the sums to x, x, y, y."""
-    for y1 in NONZERO:
-        for y2 in NONZERO:
-            if y1 == y2:
+    sums = pair_sums(y1, y2, z1, z2)
+    if _shape(sums) != [2, 2]:
+        yield {"sums": [str(s) for s in sums]}
+
+
+def _k4_claim(check: Callable, all_distinct: bool = True, stat: Optional[str] = None) -> Callable:
+    """A verifier running ``check(record)``, which yields violation details,
+    over every :class:`K4Record` (or the all-distinct ones), naming each
+    violation by its index; ``stat`` counts the all-distinct labelings."""
+
+    def verifier(scope: Scope, report: VerificationReport, jobs: int) -> None:
+        star_count = 0
+        for r in _k4_records():
+            star_count += r.order is not None
+            if all_distinct and r.order is None:
                 continue
-            complement = set(ELEMENTS) - {y1, y2}
-            for z1 in ELEMENTS:
-                for z2 in ELEMENTS:
-                    if z1 == z2:
-                        continue
-                    if {z1, z2} != {y1, y2} and {z1, z2} != complement:
-                        continue
-                    report.scanned += 1
-                    sums = pair_sums(y1, y2, z1, z2)
-                    values = sorted(set(sums))
-                    counts = sorted(sums.count(v) for v in values)
-                    if counts != [2, 2]:
-                        report.add_violation(
-                            {"tuple": [str(v) for v in (y1, y2, z1, z2)],
-                             "sums": [str(s) for s in sums]}
-                        )
+            report.scanned += 1
+            for detail in check(r):
+                report.add_violation({"index": r.index, **detail})
+        if stat:
+            report.stats[stat] = star_count
+
+    return verifier
 
 
-def _verify_lemma14(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _lemma14(r: K4Record) -> Iterator[dict]:
     """All four K4 triangle labels sum to identity; short of all-distinct
     they pair up as x, x, y, y."""
-    for index, g in _k4_domain():
-        report.scanned += 1
-        tris = classify_k4(g, (1, 2, 3, 4)).triangle_signs
-        if tris[0] ^ tris[1] ^ tris[2] ^ tris[3]:
-            report.add_violation({"index": index, "detail": "triangle labels do not sum to e"})
-        counts = sorted(tris.count(v) for v in set(tris))
-        if counts not in ([1, 1, 1, 1], [4], [2, 2]):
-            report.add_violation({"index": index, "detail": f"pattern {counts} not x,x,y,y"})
+    t = r.tris
+    if t[0] ^ t[1] ^ t[2] ^ t[3]:
+        yield {"detail": "triangle labels do not sum to e"}
+    elif _shape(t) not in ([1, 1, 1, 1], [4], [2, 2]):
+        yield {"detail": f"pattern {_shape(t)} not x,x,y,y"}
 
 
-def _verify_key_lemma(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _key_lemma(r: K4Record) -> Iterator[dict]:
     """On all-distinct K4s, each label is hit by an even number of paths."""
-    star_count = 0
-    for index, g in _k4_domain():
-        report.scanned += 1
-        if _canonical_sigma4star(g) is None:
-            continue
-        star_count += 1
-        totals = k4_path_report(g).totals
-        odd = [str(s) for s, c in totals.items() if c % 2]
-        if odd:
-            report.add_violation({"index": index, "odd_labels": odd})
-    report.stats["sigma4star_count"] = star_count
+    odd = [str(s) for s, c in r.totals.items() if c % 2]
+    if r.order is not None and odd:
+        yield {"odd_labels": odd}
 
 
 _TABLE1_AGREE = {
@@ -420,137 +431,76 @@ _TABLE1_AGREE = {
 }
 
 
-def _verify_table1(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _table1(r: K4Record) -> Iterator[dict]:
     """Disjoint-pair dichotomy: when the pair sum matches a containing
     circle's label the four paths of the group realize all labels,
     otherwise they pair up s, s, t, t."""
-    for index, g in _k4_domain():
-        order = _canonical_sigma4star(g)
-        if order is None:
-            continue
-        report.scanned += 1
-        rows = g.rows
+    order, rows = r.order, r.rows
 
-        def sig(a: int, b: int) -> int:
-            return rows[order[a - 1]][order[b - 1]]
-        circle_signs = {
-            "C1": sig(1, 2) ^ sig(2, 3) ^ sig(3, 4) ^ sig(1, 4),
-            "C2": sig(1, 2) ^ sig(2, 4) ^ sig(3, 4) ^ sig(1, 3),
-            "C3": sig(1, 3) ^ sig(2, 3) ^ sig(2, 4) ^ sig(1, 4),
-        }
-        if (circle_signs["C1"], circle_signs["C2"], circle_signs["C3"]) != (
-            F22.B,
-            F22.A,
-            F22.C,
-        ):
-            report.add_violation({"index": index, "detail": "canonical circle labels off"})
-            continue
-        disjoint_pairs = [
-            ((1, 2), (3, 4), "C1", "C2"),
-            ((1, 4), (2, 3), "C1", "C3"),
-            ((1, 3), (2, 4), "C2", "C3"),
-        ]
-        s_first = sig(1, 2) ^ sig(3, 4)
-        expect_agree = _TABLE1_AGREE[s_first]
-        for gi, (ea, eb, ca, cb) in enumerate(disjoint_pairs):
-            pair_sum = sig(*ea) ^ sig(*eb)
-            agree = pair_sum in (circle_signs[ca], circle_signs[cb])
-            if agree is not expect_agree[gi]:
-                report.add_violation(
-                    {"index": index, "group": gi + 1, "detail": "agree label off-table"}
-                )
-            group_signs = sorted(
-                circle_signs[c] ^ sig(*e) for c in (ca, cb) for e in (ea, eb)
-            )
-            if agree:
-                ok = len(set(group_signs)) == 4
-            else:
-                values = sorted(set(group_signs))
-                ok = len(values) == 2 and all(group_signs.count(v) == 2 for v in values)
-            if not ok:
-                report.add_violation(
-                    {"index": index, "group": gi + 1,
-                     "signs": [str(ELEMENTS[s]) for s in group_signs],
-                     "detail": "dichotomy broken"}
-                )
+    def sig(a: int, b: int) -> int:
+        return rows[order[a - 1]][order[b - 1]]
+    circle_signs = {
+        "C1": sig(1, 2) ^ sig(2, 3) ^ sig(3, 4) ^ sig(1, 4),
+        "C2": sig(1, 2) ^ sig(2, 4) ^ sig(3, 4) ^ sig(1, 3),
+        "C3": sig(1, 3) ^ sig(2, 3) ^ sig(2, 4) ^ sig(1, 4),
+    }
+    if tuple(circle_signs.values()) != (F22.B, F22.A, F22.C):
+        yield {"detail": "canonical circle labels off"}
+        return
+    disjoint_pairs = [
+        ((1, 2), (3, 4), "C1", "C2"),
+        ((1, 4), (2, 3), "C1", "C3"),
+        ((1, 3), (2, 4), "C2", "C3"),
+    ]
+    expect_agree = _TABLE1_AGREE[sig(1, 2) ^ sig(3, 4)]
+    for gi, (ea, eb, ca, cb) in enumerate(disjoint_pairs):
+        agree = (sig(*ea) ^ sig(*eb)) in (circle_signs[ca], circle_signs[cb])
+        if agree is not expect_agree[gi]:
+            yield {"group": gi + 1, "detail": "agree label off-table"}
+        group_signs = sorted(circle_signs[c] ^ sig(*e) for c in (ca, cb) for e in (ea, eb))
+        if _shape(group_signs) != ([1, 1, 1, 1] if agree else [2, 2]):
+            yield {"group": gi + 1,
+                   "signs": [str(ELEMENTS[s]) for s in group_signs],
+                   "detail": "dichotomy broken"}
 
 
-def _verify_lemma4(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _lemma4(r: K4Record) -> Iterator[dict]:
     """Per-start path multisets on all-distinct K4s: 2+2+2 or 3+1+1+1."""
-    for index, g in _k4_domain():
-        if _canonical_sigma4star(g) is None:
-            continue
-        report.scanned += 1
-        for start in (1, 2, 3, 4):
-            ms = hamiltonian_paths_spectrum(g, start)
-            values = sorted(set(ms))
-            counts = sorted(ms.count(v) for v in values)
-            if counts not in ([2, 2, 2], [1, 1, 1, 3]):
-                report.add_violation(
-                    {"index": index, "start": start, "multiset": [str(s) for s in ms]}
-                )
+    for start, ms in r.per_start.items():
+        if _shape(ms) not in ([2, 2, 2], [1, 1, 1, 3]):
+            yield {"start": start, "multiset": [str(s) for s in ms]}
 
 
-def _verify_lemma_same(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _lemma_same(r: K4Record) -> Iterator[dict]:
     """Three-way equivalence on all-distinct K4s: equal 2-2-2 multisets at
     two starts <=> a common-label triple (star or triangle) <=> a label no
     path realizes; all three name the same label."""
-    for index, g in _k4_domain():
-        if _canonical_sigma4star(g) is None:
-            continue
-        report.scanned += 1
-        multisets = {v: hamiltonian_paths_spectrum(g, v) for v in (1, 2, 3, 4)}
-
-        def shape222(ms: tuple[F22, ...]) -> bool:
-            values = set(ms)
-            return len(values) == 3 and all(ms.count(v) == 2 for v in values)
-
-        witness_pairs = [
-            (i, j)
-            for i, j in combinations((1, 2, 3, 4), 2)
-            if multisets[i] == multisets[j] and shape222(multisets[i])
-        ]
-        p1 = bool(witness_pairs)
-        k4 = classify_k4(g, (1, 2, 3, 4))
-        p2 = k4.common_triple is not None
-        totals = k4_path_report(g).totals
-        missing = [s for s in ELEMENTS if totals[s] == 0]
-        p3 = bool(missing)
-        if not (p1 == p2 == p3):
-            report.add_violation(
-                {"index": index, "p1": p1, "p2": p2, "p3": p3}
-            )
-            continue
-        if p1:
-            if len(missing) != 1:
-                report.add_violation({"index": index, "detail": f"{len(missing)} labels missing"})
-                continue
-            gap = missing[0]
-            if k4.common_triple.sign != gap:
-                report.add_violation(
-                    {"index": index, "detail": "triple label differs from missing label"}
-                )
-            for i, j in witness_pairs:
-                if set(multisets[i]) != set(ELEMENTS) - {gap}:
-                    report.add_violation(
-                        {"index": index, "detail": "witness multiset misses wrong label"}
-                    )
+    ms = r.per_start
+    witnesses = [ms[i] for i, j in combinations((1, 2, 3, 4), 2)
+                 if ms[i] == ms[j] and _shape(ms[i]) == [2, 2, 2]]
+    p1 = bool(witnesses)
+    p2 = r.triple is not None
+    missing = [s for s in ELEMENTS if r.totals[s] == 0]
+    p3 = bool(missing)
+    if not (p1 == p2 == p3):
+        yield {"p1": p1, "p2": p2, "p3": p3}
+    elif p1 and len(missing) != 1:
+        yield {"detail": f"{len(missing)} labels missing"}
+    elif p1:
+        gap = missing[0]
+        if r.triple.sign != gap:
+            yield {"detail": "triple label differs from missing label"}
+        for w in witnesses:
+            if set(w) != set(ELEMENTS) - {gap}:
+                yield {"detail": "witness multiset misses wrong label"}
 
 
-def _verify_thm11(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _thm11(r: K4Record) -> Iterator[dict]:
     """A start with four distinct path labels exists iff no common triple."""
-    for index, g in _k4_domain():
-        if _canonical_sigma4star(g) is None:
-            continue
-        report.scanned += 1
-        has_four = any(
-            len(set(hamiltonian_paths_spectrum(g, v))) == 4 for v in (1, 2, 3, 4)
-        )
-        no_triple = classify_k4(g, (1, 2, 3, 4)).common_triple is None
-        if has_four is not no_triple:
-            report.add_violation(
-                {"index": index, "four_label_start": has_four, "triple_free": no_triple}
-            )
+    has_four = any(len(set(ms)) == 4 for ms in r.per_start.values())
+    no_triple = r.triple is None
+    if has_four is not no_triple:
+        yield {"four_label_start": has_four, "triple_free": no_triple}
 
 
 def _case_alpha_forest(b: sweep_mod.BatchAnalysis):
@@ -587,21 +537,23 @@ _REGISTRY: dict[str, tuple[Callable, tuple, str]] = {
                 "diversity 1 pins the spectrum to one forced label"),
     "proposition_norm": (_verify_proposition_norm, (ExhaustiveK4, RandomScope),
                          "normalizing rewrites each edge to its old triangle label"),
-    "lemma11": (_verify_lemma11, (ExhaustiveGroup,),
+    "lemma11": (_group_claim(lambda y, z: len(y & z) == 1, _lemma11), (ExhaustiveGroup,),
                 "one shared value spreads the four pair sums over the group"),
-    "lemma12": (_verify_lemma12, (ExhaustiveGroup,),
+    "lemma12": (_group_claim(lambda y, z: z == y or z == set(ELEMENTS) - y, _lemma12),
+                (ExhaustiveGroup,),
                 "matched or complementary pairs collapse sums to x,x,y,y"),
-    "lemma14": (_verify_lemma14, (ExhaustiveK4,),
+    "lemma14": (_k4_claim(_lemma14, all_distinct=False), (ExhaustiveK4,),
                 "K4 triangle labels sum to identity and pair up off the all-distinct case"),
-    "key_lemma": (_verify_key_lemma, (ExhaustiveK4,),
+    "key_lemma": (_k4_claim(_key_lemma, all_distinct=False, stat="sigma4star_count"),
+                  (ExhaustiveK4,),
                   "per-label Hamiltonian path counts are even on all-distinct K4s"),
-    "table1": (_verify_table1, (ExhaustiveK4,),
+    "table1": (_k4_claim(_table1), (ExhaustiveK4,),
                "agree/not-agree dichotomy for each disjoint edge pair"),
-    "lemma4": (_verify_lemma4, (ExhaustiveK4,),
+    "lemma4": (_k4_claim(_lemma4), (ExhaustiveK4,),
                "per-start path multisets are 2+2+2 or 3+1+1+1"),
-    "lemma_same": (_verify_lemma_same, (ExhaustiveK4,),
+    "lemma_same": (_k4_claim(_lemma_same), (ExhaustiveK4,),
                    "equal 2-2-2 multisets <=> common-label triple <=> missing path label"),
-    "thm11": (_verify_thm11, (ExhaustiveK4,),
+    "thm11": (_k4_claim(_thm11), (ExhaustiveK4,),
               "a four-label start exists iff there is no common-label triple"),
     "lemma_b": (_sweep_claim(_spectrum_bound(lambda b: b.diversity == 3, True),
                              "spectrum not full"),

@@ -72,7 +72,7 @@ from .graph import (
     SignedCompleteGraph,
     walk_sign,
 )
-from .group import ELEMENTS, F22
+from .group import ELEMENTS, F22, NONZERO
 
 
 class RestrictedSpectrumError(Exception):
@@ -115,9 +115,9 @@ class SpectrumPrediction:
     """Predicted Hamiltonian label set with its provenance.
 
     ``kind`` is ``singleton`` (diversity 1), ``parity_pair`` (diversity
-    2), ``full`` (diversity >= 3, n > 5) or ``oracle`` (diversity >= 3 at
-    n <= 5, where no structural claim applies and the value set comes
-    from exhaustive enumeration).
+    2), ``full`` (diversity >= 3, n > 5) or ``small_n`` (diversity >= 3
+    at n = 4 or 5, where a closed form from the triangle counts gives the
+    exact set).
     """
 
     kind: str
@@ -188,8 +188,8 @@ def predict_spectrum(g: SignedCompleteGraph) -> SpectrumPrediction:
     """Bound the Hamiltonian label set from the triangle census alone.
 
     One or two triangle labels pin it to :func:`census.spectrum_mask`, a
-    singleton or a parity pair.  With three or more labels and n > 5 the
-    full set is achievable.
+    singleton or a parity pair.  With three or more labels the full set
+    is achievable for n > 5; at n = 4 and 5 a closed form gives the set.
     """
     return _predict_from_census(g, triangle_census(g))
 
@@ -206,12 +206,15 @@ def _predict_from_census(g: SignedCompleteGraph, census: TriangleCensus) -> Spec
     if n > 5:
         provenance = "lemma_b" if div == 3 else "lemma_c"
         return SpectrumPrediction("full", frozenset(ELEMENTS), provenance)
-    # Diversity >= 3 at n <= 5: no structural claim; report the exact
-    # enumerated set instead of guessing.
-    from .oracle import hamiltonian_spectrum
-
-    realized = hamiltonian_spectrum(g).realized
-    return SpectrumPrediction("oracle", realized, "exhaustive enumeration (n <= 5)")
+    # Diversity >= 3 at n = 4 or 5: closed forms equal to the oracle on every
+    # instance.  At n = 4 (diversity 4) each circle sums two complementary
+    # triangles; at n = 5 counts 2, 2, 2, 4 lose the label on four triangles.
+    if n == 4:
+        return SpectrumPrediction("small_n", frozenset(NONZERO), "n = 4 closed form")
+    if sorted(census.counts.values()) == [2, 2, 2, 4]:
+        values = frozenset(s for s, k in census.counts.items() if k != 4)
+        return SpectrumPrediction("small_n", values, "n = 5 closed form")
+    return SpectrumPrediction("small_n", frozenset(ELEMENTS), "n = 5 closed form")
 
 
 # ---------------------------------------------------------------------------

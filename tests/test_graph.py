@@ -30,6 +30,18 @@ def test_constructor_rejects_labels_outside_the_group(bad):
         SignedCompleteGraph.from_signs(4, [0, 1, 2, 3, 0, bad])
 
 
+@pytest.mark.parametrize("signs", [bytearray(6), memoryview(bytes(6)), [0] * 6, (0,) * 6])
+def test_constructor_takes_only_immutable_bytes(signs):
+    # a mutable buffer would let edges() and serialize drift from rows and sign()
+    with pytest.raises(TypeError, match="signs must be bytes"):
+        SignedCompleteGraph(4, signs)
+    buf = bytearray(6)
+    g = SignedCompleteGraph.from_signs(4, buf)
+    buf[0] = 1
+    assert g.sign(1, 2) == F22.E and next(g.edges()) == (1, 2, F22.E)
+    assert hash(g) == hash(SignedCompleteGraph(4, bytes(6)))
+
+
 def test_build_rejects_duplicate_edge():
     with pytest.raises(ValueError, match="duplicate"):
         build(4, [(1, 2, F22.B), (2, 1, F22.B), (1, 3, F22.C), (1, 4, F22.A),

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from doublesign import io_gen, lemma_lab, lemma_ids, verify
+from doublesign import F22, io_gen, lemma_lab, lemma_ids, verify
 from doublesign.cli import main
 from doublesign.lemma_lab import (
     MAX_STORED_VIOLATIONS,
@@ -227,6 +227,51 @@ def test_a_corrupted_batch_row_is_reported_by_its_key(case, scope, key, monkeypa
     assert report.stats.keys() == clean.stats.keys()
     monkeypatch.undo()
     assert verify(lemma, scope, seed=5).passed  # the cached family is untouched
+
+
+#: Per K4 claim, a change of one all-distinct record (one with a common
+#: triple) that breaks it: labels that do not sum to e, an odd path count,
+#: two frame vertices swapped, a one-label multiset, a lost triple.
+K4_CORRUPTIONS = {
+    "lemma14": lambda r: r._replace(tris=(F22.E, F22.E, F22.E, F22.A)),
+    "key_lemma": lambda r: r._replace(totals={**r.totals, F22.E: r.totals[F22.E] + 1}),
+    "table1": lambda r: r._replace(order=[r.order[1], r.order[0], *r.order[2:]]),
+    "lemma4": lambda r: r._replace(per_start={**r.per_start, 1: (F22.E,) * 6}),
+    "lemma_same": lambda r: r._replace(triple=None),
+    "thm11": lambda r: r._replace(triple=None),
+}
+
+
+@pytest.mark.parametrize("lemma", K4_CORRUPTIONS)
+def test_a_corrupted_k4_record_is_reported_by_its_index(lemma, monkeypatch):
+    records = lemma_lab._k4_records
+    target = next(r.index for r in records() if r.triple is not None)
+    clean = verify(lemma, "exhaustive_k4")
+    assert clean.passed
+
+    def corrupted():
+        for r in records():
+            yield K4_CORRUPTIONS[lemma](r) if r.index == target else r
+
+    monkeypatch.setattr(lemma_lab, "_k4_records", corrupted)
+    report = verify(lemma, "exhaustive_k4")
+    assert report.violation_count == 1
+    assert report.violations[0]["index"] == target
+    assert report.scanned == clean.scanned and report.stats == clean.stats
+
+
+@pytest.mark.parametrize("lemma,quad", [("lemma11", (F22.A, F22.B, F22.A, F22.C)),
+                                        ("lemma12", (F22.A, F22.B, F22.B, F22.A))])
+def test_a_corrupted_pair_sum_is_reported_by_its_tuple(lemma, quad, monkeypatch):
+    pair_sums = lemma_lab.pair_sums
+    clean = verify(lemma, "exhaustive_group")
+    assert clean.passed
+    monkeypatch.setattr(lemma_lab, "pair_sums",
+                        lambda *q: (F22.E,) * 4 if q == quad else pair_sums(*q))
+    report = verify(lemma, "exhaustive_group")
+    assert report.violation_count == 1
+    assert report.violations[0]["tuple"] == [str(v) for v in quad]
+    assert report.scanned == clean.scanned
 
 
 def test_report_serializes_to_json():

@@ -1,3 +1,7 @@
+import ast
+import importlib
+import inspect
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -10,6 +14,7 @@ from doublesign import (
     F22,
     Path,
     SignedCompleteGraph,
+    classify_k4,
     gen_random,
     hamiltonian_paths_spectrum,
     hamiltonian_spectrum,
@@ -19,7 +24,7 @@ from doublesign import (
     walk_sign,
 )
 from doublesign import oracle
-from doublesign.lemma_lab import _canonical_sigma4star, k4_from_index
+from doublesign.lemma_lab import k4_from_index
 from doublesign.oracle import Spectrum, hamiltonian_circle_count, hamiltonian_circles
 
 
@@ -161,20 +166,52 @@ def test_k4_path_report_requires_n4():
 
 
 def test_path_multiset_shapes_on_all_distinct_k4s():
-    # spot-check 300 all-distinct K4s: 2+2+2 or 3+1+1+1
+    # the two path routes agree on every K4 labeling; on the 1,536
+    # all-distinct ones each start sees 2+2+2 or 3+1+1+1
     seen = 0
     for index in range(4096):
         g = k4_from_index(index)
-        if _canonical_sigma4star(g) is None:
+        per_start = k4_path_report(g).per_start
+        for v in (1, 2, 3, 4):
+            assert per_start[v] == hamiltonian_paths_spectrum(g, v), (index, v)
+        if not classify_k4(g, (1, 2, 3, 4)).is_all_distinct:
             continue
         seen += 1
-        ms = hamiltonian_paths_spectrum(g, 1)
-        values = sorted(set(ms))
-        counts = sorted(ms.count(v) for v in values)
-        assert counts in ([2, 2, 2], [1, 1, 1, 3])
-        if seen >= 300:
-            break
-    assert seen == 300
+        for ms in per_start.values():
+            assert sorted(Counter(ms).values()) in ([2, 2, 2], [1, 1, 1, 3])
+    assert seen == 1536
+
+
+def _package_imports(module: str) -> set[str]:
+    """The doublesign modules ``module`` imports, at any depth of its source
+    (function bodies included)."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"doublesign.{module}")))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("doublesign."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("doublesign."))
+    return {m.split(".")[0] for m in found}
+
+
+def _import_closure(module: str) -> set[str]:
+    seen, todo = set(), [module]
+    while todo:
+        for m in _package_imports(todo.pop()) - seen:
+            seen.add(m)
+            todo.append(m)
+    return seen
+
+
+def test_oracle_and_solver_share_no_code():
+    # design rule 1: neither side of the cross-check can vouch for the other
+    assert not _import_closure("solver") & {"oracle", "sweep", "lemma_lab"}
+    assert not _import_closure("oracle") & {"solver", "census"}
+    assert {"census", "graph"} <= _import_closure("solver")
 
 
 def test_deleting_an_edge_shifts_by_that_edge(share_vertex_k4):

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from doublesign import (
     classify_k4,
     construct_witnesses,
     distinct_sign_edge_structure,
+    gen_exhaustive_normalized,
     gen_random,
     hamiltonian_spectrum,
     instance_from_index,
@@ -96,10 +97,24 @@ class TestPredictSpectrum:
             mask = allowed_spectrum_mask(np.array([sum(1 << s for s in labels)]), n)[0]
             assert predict_spectrum(g).values == {s for s in ELEMENTS if mask >> s & 1}
 
-    def test_small_n_defers_to_enumeration(self, share_vertex_k4):
+    def test_small_n_uses_the_closed_form(self, share_vertex_k4):
         p = predict_spectrum(share_vertex_k4)
-        assert p.kind == "oracle"
+        assert p.kind == "small_n" and p.provenance == "n = 4 closed form"
         assert p.values == {F22.A, F22.B, F22.C}
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_small_n_closed_form_is_the_oracle_spectrum(self, n):
+        # switching keeps triangle and circle labels, so the hub-normalized
+        # family covers every instance; the seeded rows are not normalized
+        seeded = (gen_random(n, seed) for seed in range(300))
+        checked = Counter()
+        for g in chain(gen_exhaustive_normalized(n), seeded):
+            if triangle_census(g).diversity >= 3:
+                p = predict_spectrum(g)
+                assert p.kind == "small_n"
+                assert p.values == hamiltonian_spectrum(g).realized, serialize(g)
+                checked[len(p.values)] += 1
+        assert set(checked) == ({3} if n == 4 else {3, 4})
 
     def test_prediction_contains_oracle_spectrum_on_seeded_instances(self):
         for seed in range(150):
