@@ -13,12 +13,12 @@ triangle labels into allowed circle labels, once, for the solver's
 prediction and the sweep's bound.  Everything here is read-only over
 immutable graphs.
 
-Every K4-local decision of the solver's case machine (the common-label
-triple, the least path per label from each start, the lemma_b frame)
-depends only on the K4's six switched edge labels, 12 bits.  One cache,
-:func:`k4_pattern`, makes each decision once per label pattern: it is
-keyed by that 12-bit int, so it never holds more than 4,096 entries,
-and it fills on first use.  The triangle census does not read it.
+Every read of one K4 (its triangle labels, whether they are all
+distinct, and each K4-local decision of the case machine) depends only
+on its six switched edge labels, 12 bits.  One cache, :func:`k4_pattern`,
+makes each read once per label pattern: keyed by that 12-bit int, it
+never holds more than 4,096 entries, and it fills on first use.  Every
+K4 reader makes one lookup per K4; the triangle census makes none.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import index
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .graph import SignedCompleteGraph, edge_index
 from .group import ELEMENTS, F22
@@ -105,27 +105,6 @@ def spectrum_mask(tri_mask: int, n: int) -> int:
     return 1 | 1 << (labels[0] ^ labels[-1])
 
 
-def _k4_labels(rows: Sequence[bytes], a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
-    """Int labels of the triangles abc, abd, acd, bcd (``combinations`` order)."""
-    ra, rb = rows[a], rows[b]
-    ab, ac, ad, bc, bd, cd = ra[b], ra[c], ra[d], rb[c], rb[d], rows[c][d]
-    return ab ^ ac ^ bc, ab ^ ad ^ bd, ac ^ ad ^ cd, bc ^ bd ^ cd
-
-
-def k4_label_counts(g: SignedCompleteGraph) -> Iterator[tuple[tuple[int, int, int, int], int]]:
-    """Each K4 of ``g`` with the number of distinct labels among its four
-    triangles, lazily, in ``combinations(g.vertices(), 4)`` order."""
-    rows = g.rows
-    for quad in combinations(g.vertices(), 4):
-        yield quad, len(set(_k4_labels(rows, *quad)))
-
-
-def first_all_distinct_k4(g: SignedCompleteGraph) -> Optional[tuple[int, int, int, int]]:
-    """The first K4 in :func:`k4_label_counts` order whose four triangle
-    labels are pairwise distinct, or None."""
-    return next((quad for quad, k in k4_label_counts(g) if k == 4), None)
-
-
 @dataclass(frozen=True)
 class CommonSignTriple:
     """Exactly three edges of one K4 sharing a label, as a star or triangle."""
@@ -173,15 +152,21 @@ _ORDERS = tuple(permutations(range(4)))
 
 
 class K4Pattern(NamedTuple):
-    """Every K4-local decision of the case machine for one label pattern.
+    """Every read of one K4 label pattern: its triangle labels and every
+    K4-local decision of the case machine.
 
     Vertices are local indices 0..3, the positions in the sorted quad.
-    ``triple`` is the common-label triple or None; ``paths[i][s]`` is the
-    least Hamiltonian path from i with label s, or None; ``frame`` is the
-    first lemma_b frame, or None, and ``panel`` its panel, or None when
-    there is no frame or it lies in neither panel.
+    ``tris`` holds the labels of the triangles 012, 013, 023 and 123, and
+    ``all_distinct`` says whether they are pairwise distinct; no
+    switching changes them.  ``triple`` is the common-label triple or
+    None; ``paths[i][s]`` is the least Hamiltonian path from i with label
+    s, or None; ``frame`` is the first lemma_b frame, or None, and
+    ``panel`` its panel, or None when there is no frame or it lies in
+    neither panel.
     """
 
+    tris: tuple[F22, F22, F22, F22]
+    all_distinct: bool
     triple: Optional[CommonSignTriple]
     paths: tuple[tuple[Optional[tuple[int, int, int, int]], ...], ...]
     frame: Optional[tuple[int, int, int, int]]
@@ -217,6 +202,7 @@ def k4_pattern(key: int) -> K4Pattern:
     local indices back through the sorted quad; that map is monotone, so
     every lexicographic tie-break below is the one on the real vertices.
 
+    * The triangle labels, and whether all four differ.
     * The common-label triple: the three edges that alone carry a label,
       when they form a star or a triangle, first such label in group
       order.
@@ -237,6 +223,7 @@ def k4_pattern(key: int) -> K4Pattern:
         u, v = edge
         s[u][v] = s[v][u] = label = key >> 2 * k & 3
         by_sign.setdefault(label, []).append(edge)
+    tris = tuple(ELEMENTS[s[a][b] ^ s[a][c] ^ s[b][c]] for a, b, c in combinations(range(4), 3))
 
     triple = None
     for sign in ELEMENTS:
@@ -269,20 +256,17 @@ def k4_pattern(key: int) -> K4Pattern:
             shared = sum(s[u][v] == s[i1][i4] for u, v in K4_EDGES)
             panel = {3: "left_panel", 4: "right_panel"}.get(shared)
             break
-    return K4Pattern(triple, paths, frame, panel)
+    return K4Pattern(tris, len(set(tris)) == 4, triple, paths, frame, panel)
 
 
-def find_common_triple(
-    g: SignedCompleteGraph, quad: Sequence[int], z: Optional[Sequence[int]] = None
-) -> Optional[CommonSignTriple]:
-    """The three edges of the K4 on ``quad`` that alone carry one label,
-    when they form a star or a triangle (first such label in group order),
-    or None, read under the switching ``z`` as :func:`k4_key` reads it.
-    ``quad`` is not checked: callers pass four distinct vertices of ``g``,
-    as :func:`classify_k4` does for an all-distinct K4."""
-    qs = sorted(quad)
-    triple = k4_pattern(k4_key(g.rows, qs, z)).triple
-    return None if triple is None else triple.on(qs)
+def first_all_distinct_k4(g: SignedCompleteGraph) -> Optional[tuple[int, int, int, int]]:
+    """The first K4 in ``combinations(g.vertices(), 4)`` order whose four
+    triangle labels are pairwise distinct, or None."""
+    rows = g.rows
+    return next(
+        (q for q in combinations(g.vertices(), 4) if k4_pattern(k4_key(rows, q)).all_distinct),
+        None,
+    )
 
 
 def classify_k4(g: SignedCompleteGraph, quad: Sequence[int]) -> K4Class:
@@ -292,15 +276,13 @@ def classify_k4(g: SignedCompleteGraph, quad: Sequence[int]) -> K4Class:
     if len(set(vs)) != 4:
         raise ValueError(f"need four distinct vertices, got {quad}")
     g.check_vertices(*vs)
-    labels = _k4_labels(g.rows, *vs)
-    tris = tuple(ELEMENTS[t] for t in labels)
-    distinct = sorted(set(labels))
-    if len(distinct) == 4:
-        return K4Class(vs, tris, "all_distinct", common_triple=find_common_triple(g, vs))
+    p = k4_pattern(k4_key(g.rows, vs))
+    if p.all_distinct:
+        triple = None if p.triple is None else p.triple.on(vs)
+        return K4Class(vs, p.tris, "all_distinct", common_triple=triple)
     # The four labels always sum to the identity (every edge is counted
     # twice), so short of being all distinct they pair up as x, x, y, y.
-    pair = (ELEMENTS[distinct[0]], ELEMENTS[distinct[-1]])
-    return K4Class(vs, tris, "two_two", pair=pair)
+    return K4Class(vs, p.tris, "two_two", pair=(min(p.tris), max(p.tris)))
 
 
 def _hub_triangles(

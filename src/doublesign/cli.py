@@ -12,10 +12,11 @@ import argparse
 import json
 import math
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import io_gen, lemma_lab, oracle, solver
-from .census import find_common_triple, k4_label_counts, triangle_census
+from .census import k4_key, k4_pattern, triangle_census
 from .graph import SignedCompleteGraph
 from .group import ELEMENTS
 from .switching import normalize_at
@@ -62,6 +63,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if len(picked) != 1:
         raise SystemExit2("exactly one of --exhaustive-normalized / --random / --named is required")
     if args.exhaustive_normalized is not None:
+        if args.exhaustive_normalized > 6:
+            # the n = 7 family alone is 4^15 records, about 160 GB of text
+            raise SystemExit2("--exhaustive-normalized streams N <= 6 (4^10 records at most)")
         family = io_gen.gen_exhaustive_normalized(args.exhaustive_normalized)
         records = (f"# index {i}\n{io_gen.serialize(g)}\n" for i, g in enumerate(family))
     elif args.random is not None:
@@ -82,12 +86,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
     census = triangle_census(g)
     all_distinct = 0
     with_triple = {"star": 0, "triangle": 0}
-    for quad, k in k4_label_counts(g):
-        if k == 4:
+    for quad in combinations(g.vertices(), 4):
+        pattern = k4_pattern(k4_key(g.rows, quad))
+        if pattern.all_distinct:
             all_distinct += 1
-            triple = find_common_triple(g, quad)
-            if triple is not None:
-                with_triple[triple.shape] += 1
+            if pattern.triple is not None:
+                with_triple[pattern.triple.shape] += 1
     payload = {
         "n": g.n,
         "diversity": census.diversity,
@@ -174,9 +178,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        report = lemma_lab.verify(
-            args.lemma, args.scope, seed=args.seed, jobs=args.jobs, force=args.force
-        )
+        report = lemma_lab.verify(args.lemma, args.scope, seed=args.seed, jobs=args.jobs)
     except (KeyError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -227,7 +229,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="exhaustive_k4 | exhaustive_group | exhaustive_normalized:N | random:N:COUNT")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--force", action="store_true", help="lift the exhaustive-domain cap")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 

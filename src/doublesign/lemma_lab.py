@@ -576,9 +576,6 @@ _REGISTRY: dict[str, tuple[Callable, tuple, str]] = {
 #: Claims whose graph-domain statements require n > 5.
 _NEEDS_N6 = {"lemma_b", "lemma_c", "case_beta"}
 
-#: Default cap on exhaustive domain sizes (the n=6 family).
-MAX_EXHAUSTIVE = 4 ** 10
-
 
 def lemma_ids() -> list[str]:
     return list(_REGISTRY)
@@ -596,14 +593,13 @@ def verify(
     *,
     seed: int = 0,
     jobs: int = 1,
-    force: bool = False,
 ) -> VerificationReport:
     """Check one claim over one domain and report violations verbatim.
 
     ``jobs`` below 1 is refused.  Exhaustive scopes above
-    :data:`MAX_EXHAUSTIVE` instances are refused unless ``force`` is set,
-    and random scopes of the sweep-backed claims above the oracle's
-    enumeration bound before any row is drawn.  Random
+    :data:`sweep.MAX_SWEEP_ROWS` instances (n > 6) are refused before any
+    row is swept, and random scopes of the sweep-backed claims above the
+    oracle's enumeration bound before any row is drawn.  Random
     scopes embed their seed in the report, so any violation can be
     replayed.
     """
@@ -616,12 +612,6 @@ def verify(
     if not isinstance(scope, allowed):
         names = ", ".join(a.__name__ for a in allowed)
         raise ValueError(f"{lemma_id} supports scopes: {names}")
-    if isinstance(scope, ExhaustiveNormalized):
-        size = normalized_domain_size(scope.n)
-        if size > MAX_EXHAUSTIVE and not force:
-            raise ValueError(
-                f"domain of {size} exceeds the cap {MAX_EXHAUSTIVE}; pass force=True"
-            )
     # every scope these claims allow has an n
     if lemma_id in _NEEDS_N6 and scope.n < 6:
         raise ValueError(f"{lemma_id} is a statement about n > 5")

@@ -26,10 +26,12 @@ The structures each branch starts from (chained hub triangles, the
 first all-distinct K4) come from :mod:`census`, the one
 module that reads triangle and K4 labels off a graph's row table; a call
 makes one census pass and builds no table of all triangles or K4s.
-Every read of one K4 under one switching (its common-label triple, the
-least path per label from a start, the lemma_b frame) is a lookup in the
-one cache :func:`census.k4_pattern`, keyed by the K4's 12-bit label
-pattern and so bounded at 4,096 entries.
+Every read of one K4 under one switching (whether its triangle labels
+are all distinct, its common-label triple, the least path per label from
+a start, the lemma_b frame) is a lookup in the one cache
+:func:`census.k4_pattern`, keyed by the K4's 12-bit label pattern and so
+bounded at 4,096 entries.  The K5 necklace and the triple-free
+case_beta branch close those paths through one body, ``_necklace``.
 
 No branch builds a normalized graph.  Each reads v's normalization off
 the input as the switching ``z = rows[v]`` (edge u-w:
@@ -57,7 +59,6 @@ from .census import (
     K4Pattern,
     TheoryViolationError,
     TriangleCensus,
-    classify_k4,
     distinct_sign_edge_structure,
     find_consecutive_distinct_triple,
     first_all_distinct_k4,
@@ -393,16 +394,16 @@ def _construct_case_alpha(g: SignedCompleteGraph) -> WitnessSet:
 # Diversity 4 with an all-distinct K4
 # ---------------------------------------------------------------------------
 
-def _k4_paths_by_sign(
-    pattern: K4Pattern, qs: Sequence[int], start: int
-) -> dict[int, tuple[int, ...]]:
-    """Least Hamiltonian path per label of the K4 on the sorted ``qs``
-    from ``qs[start]``, with the labels ``pattern`` was keyed by."""
-    return {
-        s: tuple(qs[i] for i in path)
-        for s, path in enumerate(pattern.paths[start])
-        if path is not None
-    }
+def _necklace(g: SignedCompleteGraph, quad: Sequence[int], paths: Sequence[tuple[int, ...]],
+              norm: int, trace: str) -> WitnessSet:
+    """Close the four K4 paths ``paths`` (local indices into the sorted
+    ``quad``), all from one start and with distinct labels when ``norm``
+    is normalized, through ``norm`` and then the outside vertices in
+    order.  Every circle gains the same offset, so its labels stay
+    distinct."""
+    ext = [v for v in g.vertices() if v not in quad and v != norm]
+    circles = [Circle((quad[i], quad[j], quad[k], quad[m], norm, *ext)) for i, j, k, m in paths]
+    return _witness_set(g, circles, trace)
 
 
 def necklace_construct(
@@ -428,18 +429,16 @@ def necklace_construct(
         raise ValueError(f"bad anchor pair {hub_pair} for block {k5}")
     g.check_vertices(*k5)
     quad = tuple(v for v in k5 if v != norm)
-    # triangle labels do not depend on the switching
-    if not classify_k4(g, quad).is_all_distinct:
+    pattern = k4_pattern(k4_key(g.rows, quad, g.rows[norm]))
+    if not pattern.all_distinct:  # no switching changes triangle labels
         raise CaseNotApplicableError(f"K4 {quad} does not have four distinct triangle labels")
-    paths = _k4_paths_by_sign(
-        k4_pattern(k4_key(g.rows, quad, g.rows[norm])), quad, quad.index(start)
-    )
-    if len(paths) != 4:
+    paths = pattern.paths[quad.index(start)]
+    if None in paths:
+        realized = [s for s, path in enumerate(paths) if path is not None]
         raise CaseNotApplicableError(
-            f"paths from {start} realize only {sorted(paths)} after normalizing {norm}"
+            f"paths from {start} realize only {realized} after normalizing {norm}"
         )
-    ext = sorted(set(g.vertices()) - set(k5))
-    return _witness_set(g, [Circle(paths[s] + (norm, *ext)) for s in ELEMENTS], "necklace")
+    return _necklace(g, quad, paths, norm, "necklace")
 
 
 def _case_beta_two_anchor(
@@ -461,10 +460,11 @@ def _case_beta_two_anchor(
     entry = [g.rows[u][v6] ^ z[u] for u in quad]  # z[v6] is common to all four
     anchors = next((i, j) for i, j in K4_EDGES if entry[i] != entry[j])
     mid = sorted(set(g.vertices()) - set(quad) - {v5, v6})
-    circles = []
-    for i in anchors:
-        for sign, path in sorted(_k4_paths_by_sign(pattern, quad, i).items()):
-            circles.append(Circle(path + (v5, *mid, v6)))
+    circles = [
+        Circle((quad[i], quad[j], quad[k], quad[m], v5, *mid, v6))
+        for a in anchors
+        for i, j, k, m in filter(None, pattern.paths[a])
+    ]
     return _witness_set(g, circles, "lemma_c/case_beta/case2")
 
 
@@ -509,14 +509,9 @@ def _construct_case_beta(g: SignedCompleteGraph, quad: tuple[int, ...]) -> Witne
         z = rows[v5]  # normalizes v5: edge u-v reads z[u] ^ rows[u][v] ^ z[v]
         pattern = k4_pattern(k4_key(rows, quad, z))
         if pattern.triple is None:
-            ext = [v for v in outside if v != v5]
             for paths in pattern.paths:
                 if None not in paths:
-                    circles = [
-                        Circle((quad[i], quad[j], quad[k], quad[m], v5, *ext))
-                        for i, j, k, m in paths
-                    ]
-                    return _witness_set(g, circles, "lemma_c/case_beta/case1")
+                    return _necklace(g, quad, paths, v5, "lemma_c/case_beta/case1")
             raise CounterexampleCandidateError("triple-free normalization but no four-label start")
         if kept is None:
             kept = pattern

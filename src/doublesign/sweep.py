@@ -171,8 +171,12 @@ def _sweep_chunk(n: int, start: int, stop: int) -> BatchAnalysis:
     return _analyze_columns(n, np.ascontiguousarray(signs_from_indices(n, idx).T))
 
 
-#: Whole families of at most 4^10 rows, by n; sub-ranges are never kept.
+#: Whole families, by n; sub-ranges are never kept.
 _SWEEP_CACHE: dict[int, BatchAnalysis] = {}
+
+#: The most rows one sweep returns: the whole n = 6 family.  The n = 7
+#: family (4^15 rows) would need about 17 GB of result arrays.
+MAX_SWEEP_ROWS = 4 ** 10
 
 #: Rows per sweep chunk: bounds the working arrays of one chunk and is the
 #: unit of work handed to each worker process.
@@ -191,9 +195,10 @@ def run_normalized_sweep(
     The range is walked lazily in chunks of :data:`_CHUNK` rows, by worker
     processes when ``jobs > 1`` (at most one per chunk and per CPU), and
     the results concatenated in index order; the output is identical to a
-    single-worker run, so whole families of at most 4^10 rows are cached,
-    with read-only arrays.  Raises ``ValueError`` for n above
-    :data:`oracle.ENUMERATION_BOUND`.
+    single-worker run, so whole families are cached, with read-only
+    arrays.  Raises ``ValueError`` for n above
+    :data:`oracle.ENUMERATION_BOUND` and, before any chunk is swept, for a
+    range of more than :data:`MAX_SWEEP_ROWS` rows.
     """
     _check_enumeration_bound(n)
     total = normalized_domain_size(n)
@@ -201,7 +206,9 @@ def run_normalized_sweep(
         stop = total
     if not (0 <= start <= stop <= total):
         raise ValueError(f"bad range [{start}, {stop}) for domain of {total}")
-    whole = start == 0 and stop == total and total <= 4 ** 10
+    if stop - start > MAX_SWEEP_ROWS:
+        raise ValueError(f"range of {stop - start} rows exceeds MAX_SWEEP_ROWS={MAX_SWEEP_ROWS}")
+    whole = start == 0 and stop == total
     if whole and n in _SWEEP_CACHE:
         return _SWEEP_CACHE[n]
     # An empty range is swept as one empty chunk.

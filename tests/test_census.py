@@ -200,7 +200,8 @@ class TestDistinctSignEdgeStructure:
 
 def _plain_k4_decisions(key):
     """The K4-local decisions of the case machine for one 12-bit pattern,
-    enumerated from their definitions on local vertices 0..3."""
+    with the triangle labels 012, 013, 023, 123 and whether they are all
+    distinct, enumerated from their definitions on local vertices 0..3."""
     label = {}
     for k, (u, v) in enumerate(combinations(range(4), 2)):
         label[u, v] = label[v, u] = (key >> 2 * k) & 3
@@ -238,15 +239,18 @@ def _plain_k4_decisions(key):
             same = sum(label[e] == label[v1, v4] for e in edges)
             panel = {3: "left_panel", 4: "right_panel"}.get(same)
             break
-    return triple, tuple(paths), frame, panel
+    tris = tuple(label[a, b] ^ label[a, c] ^ label[b, c] for a, b, c in combinations(range(4), 3))
+    return triple, tuple(paths), frame, panel, tris, len(set(tris)) == 4
 
 
 def test_k4_pattern_table_matches_plain_enumeration_on_every_key():
     from doublesign.census import k4_pattern
 
     for key in range(4096):
-        triple, paths, frame, panel = _plain_k4_decisions(key)
+        triple, paths, frame, panel, tris, all_distinct = _plain_k4_decisions(key)
         got = k4_pattern(key)
+        assert got.tris == tris and all(isinstance(t, F22) for t in got.tris), key
+        assert got.all_distinct is all_distinct, key
         if triple is None:
             assert got.triple is None, key
         else:
@@ -261,9 +265,9 @@ def test_k4_pattern_table_matches_plain_enumeration_on_every_key():
 
 
 def test_k4_lookups_map_back_through_the_sorted_quad():
-    # find_common_triple under a switching, on quads of larger graphs,
-    # against the same enumeration over the switched labels
-    from doublesign.census import find_common_triple
+    # the common-label triple under a switching, on quads of larger
+    # graphs, against the same enumeration over the switched labels
+    from doublesign.census import k4_key, k4_pattern
 
     rng = np.random.default_rng(7)
     for seed in range(200):
@@ -275,10 +279,11 @@ def test_k4_lookups_map_back_through_the_sorted_quad():
             (g.rows[u][v] ^ z[u] ^ z[v]) << 2 * k for k, (u, v) in enumerate(combinations(qs, 2))
         )
         expected = _plain_k4_decisions(key)[0]
-        got = find_common_triple(g, quad, z)
+        got = k4_pattern(k4_key(g.rows, qs, z)).triple
         if expected is None:
             assert got is None
         else:
             s, shape, local = expected
+            got = got.on(qs)
             assert (got.sign, got.shape) == (s, shape)
             assert got.edges == frozenset((qs[u], qs[v]) for u, v in local)

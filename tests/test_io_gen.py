@@ -14,6 +14,7 @@ from doublesign import (
     gen_exhaustive_normalized,
     gen_random,
     instance_from_index,
+    lemma_lab,
     named_instance,
     parse,
     serialize,
@@ -190,6 +191,21 @@ class TestSerialization:
         with pytest.raises(ParseError, match="header"):
             parse("1 2 a\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("n=x\n", "line 1: bad vertex count 'n=x'"),
+        ("# c\nn=1\n", "line 2: need n >= 2"),
+        ("n=3\n1 2\n", "line 2: expected 'u v <label>', got '1 2'"),
+        ("n=3\n1 x a\n", "line 2: bad vertex in '1 x a'"),
+        ("n=3\n1 2 a\n1 4 b\n", "line 3: vertex out of range for n=3: (1, 4)"),
+        ("n=3\n\n2 2 a\n", "line 3: degenerate edge (2, 2)"),
+        ("", "empty input: missing 'n=<N>' header"),
+    ], ids=["bad-count", "n-1", "two-fields", "bad-vertex", "out-of-range", "degenerate",
+            "empty"])
+    def test_each_parse_error_names_its_line(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
     def test_comments_and_blanks_ignored(self, share_vertex_k4):
         text = "# fixture\n\n" + serialize(share_vertex_k4).replace("\n", "\n\n")
         assert parse(text) == share_vertex_k4
@@ -252,16 +268,28 @@ class TestCli:
         assert main(["spectrum", "--random", "12", "--bound", "11"]) == 2
         assert "n=12 exceeds the enumeration bound 11" in capsys.readouterr().err
 
-    def test_construct_refusal_exit_code(self, tmp_path):
+    def test_construct_refusal_exit_code(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         main(["gen", "--named", "identity(6)", "--out", str(path)])
         assert main(["construct", "--in", str(path)]) == 1
+        assert main(["construct", "--named", "identity(6)", "--json"]) == 1
+        assert capsys.readouterr().out == (
+            '{"refused": "triangle diversity bounds the spectrum to [<F22.E: 0>]"}\n'
+        )
 
     def test_construct_success(self, capsys):
         assert main(["construct", "--random", "7", "--seed", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert sorted(w["sign"] for w in payload["witnesses"]) == ["a", "b", "c", "e"]
         assert payload["trace"]
+        assert main(["construct", "--random", "7", "--seed", "3", "--trace"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "witness e: 1 2 3 6 5 4 7",
+            "witness a: 1 4 5 6 3 2 7",
+            "witness b: 1 2 4 5 6 3 7",
+            "witness c: 1 2 7 4 5 6 3",
+            "trace: lemma_c/case_beta/case1",
+        ]
 
     def test_normalize_flag(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
@@ -274,6 +302,16 @@ class TestCli:
         assert main(["verify", "--lemma", "lemma12", "--scope", "exhaustive_group"]) == 0
         capsys.readouterr()
         assert main(["verify", "--lemma", "lemma_b", "--scope", "random:4:10"]) == 2
+
+    def test_verify_failure_prints_each_violation(self, monkeypatch, capsys):
+        pair_sums = lemma_lab.pair_sums
+        quad = (F22.A, F22.B, F22.A, F22.C)
+        monkeypatch.setattr(lemma_lab, "pair_sums",
+                            lambda *q: (F22.E,) * 4 if q == quad else pair_sums(*q))
+        assert main(["verify", "--lemma", "lemma11", "--scope", "exhaustive_group"]) == 1
+        summary, *violations = capsys.readouterr().out.splitlines()
+        assert summary.startswith("lemma11: FAIL (1 violations) over ")
+        assert violations == ["  violation: {'tuple': ['a', 'b', 'a', 'c']}"]
 
     def test_verify_json_report(self, capsys):
         assert main(["verify", "--lemma", "lemma11", "--scope", "exhaustive_group",
@@ -292,10 +330,12 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         [],
         ["--random", "2"],
+        ["--exhaustive-normalized", "7"],
         ["--exhaustive-normalized", "8"],
         ["--random", "4", "--named", "identity(3)"],
         ["--random", "7", "--seed", "-1"],
-    ], ids=["no-source", "random-2", "exhaustive-8", "two-sources", "negative-seed"])
+    ], ids=["no-source", "random-2", "exhaustive-7", "exhaustive-8", "two-sources",
+            "negative-seed"])
     def test_gen_usage_error_leaves_the_out_file_as_it_was(self, argv, tmp_path, capsys):
         path = tmp_path / "keep.txt"
         path.write_text("n=3\n1 2 a\n1 3 b\n2 3 c\n")

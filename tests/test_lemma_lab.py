@@ -94,9 +94,19 @@ def test_scope_mismatch_is_a_usage_error():
         verify("key_lemma", "exhaustive_group")
 
 
-def test_exhaustive_cap_requires_force():
-    with pytest.raises(ValueError, match="force"):
-        verify("lemma_b", "exhaustive_normalized:7")
+def test_a_sweep_of_more_than_4_10_rows_is_refused_before_any_chunk(monkeypatch, capsys):
+    from doublesign import sweep
+
+    def no_chunk(*args):
+        raise AssertionError(f"swept a chunk {args}")
+
+    monkeypatch.setattr(sweep, "_sweep_chunk", no_chunk)
+    with pytest.raises(ValueError, match="range of 1073741824 rows exceeds MAX_SWEEP_ROWS=1048576"):
+        verify("lemma_b", "exhaustive_normalized:7", jobs=2)
+    with pytest.raises(ValueError, match="exceeds MAX_SWEEP_ROWS"):
+        sweep.run_normalized_sweep(7, 5, 6 + 4 ** 10)
+    assert main(["verify", "--lemma", "lemma1", "--scope", "exhaustive_normalized:8"]) == 2
+    assert "exceeds MAX_SWEEP_ROWS" in capsys.readouterr().err
 
 
 def test_n6_statements_refuse_small_n():

@@ -2,7 +2,7 @@ import ast
 import importlib
 import inspect
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -247,12 +247,14 @@ def test_spectrum_invariance_under_switching_and_relabeling():
 def _scalar_record(g):
     """The batch record's fields for one graph, from the scalar routes."""
     from doublesign import triangle_census
-    from doublesign.census import distinct_sign_edge_structure, k4_label_counts
+    from doublesign.census import distinct_sign_edge_structure
     from doublesign.cycle_space import basis
     from doublesign.io_gen import free_edges
 
     census = triangle_census(g)
-    k4_counts = {k for _, k in k4_label_counts(g)}
+    k4_counts = {
+        len(set(classify_k4(g, q).triangle_signs)) for q in combinations(g.vertices(), 4)
+    }
     hub_signs = [basis(g, hub).signs for hub in g.vertices()]
     first = [hub_signs[0].index(s) if s in hub_signs[0] else 0 for s in ELEMENTS]
     if set(hub_signs[0]) == set(ELEMENTS) and 4 not in k4_counts:  # the edges form a forest

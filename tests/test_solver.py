@@ -37,7 +37,7 @@ from doublesign import (
     verify_witness_set,
     walk_sign,
 )
-from doublesign.census import find_common_triple
+from doublesign.census import k4_key, k4_pattern
 from doublesign.graph import edge_index
 from doublesign.sweep import allowed_spectrum_mask
 
@@ -266,9 +266,9 @@ def seeded_constant_bridge(n: int, seed: int):
             for u in (1, 2, 3, 4):
                 buf[edge_index(n, u, w)] = buf[edge_index(n, u, 5)] ^ k_w
         g = SignedCompleteGraph(n, bytes(buf))
-        if classify_k4(g, (1, 2, 3, 4)).is_all_distinct and find_common_triple(
-            g, (1, 2, 3, 4), g.rows[5]
-        ):
+        if classify_k4(g, (1, 2, 3, 4)).is_all_distinct and k4_pattern(
+            k4_key(g.rows, (1, 2, 3, 4), g.rows[5])
+        ).triple:
             return g
 
 
