@@ -12,9 +12,12 @@ n edge labels; only the loop over circles runs in numpy.  The last
 ``min(n - 2, 8)`` vertices of each tour are read off one cached table of
 their permutations, at most 8! columns (about 0.6 MB at any n), and a
 Python loop runs over the vertices before them: at n <= 10 that is the
-second vertex alone.  The table is this module's own and shares nothing
-with the sweep's circle table :func:`circle_edge_indices`, so the sweep
-and the oracle remain two independent routes to every spectrum.
+second vertex alone.  The table is this module's own; the sweep walks
+its circles depth first without any table, so the sweep and the oracle
+remain two independent routes to every spectrum.
+:func:`circle_edge_indices` lists every circle's edge indexes; no
+library code reads it, only the benchmark's set-up split
+(``perfbench/run.py``).
 
 :func:`hamiltonian_paths_spectrum` gives the label multiset of the
 Hamiltonian paths from one start, and :func:`k4_path_report` the labels
@@ -64,7 +67,8 @@ def hamiltonian_circles(n: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def circle_edge_indices(n: int) -> tuple[tuple[int, ...], ...]:
-    """Edge-index lists of every Hamiltonian circle of K_n, cached."""
+    """Edge-index lists of every Hamiltonian circle of K_n, cached: at
+    n = 10, 181,440 tuples (about 24 MB)."""
     out = []
     for tour in hamiltonian_circles(n):
         idxs = [edge_index(n, tour[i], tour[i + 1]) for i in range(n - 1)]

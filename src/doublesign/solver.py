@@ -84,9 +84,8 @@ class RestrictedSpectrumError(Exception):
 
     def __init__(self, prediction: "SpectrumPrediction"):
         self.prediction = prediction
-        super().__init__(
-            f"triangle diversity bounds the spectrum to {sorted(prediction.values)}"
-        )
+        labels = ", ".join(s.render() for s in sorted(prediction.values))
+        super().__init__(f"triangle diversity bounds the spectrum to {{{labels}}}")
 
 
 class UnsupportedSizeError(Exception):

@@ -2,11 +2,13 @@
 
 The per-instance oracle is the reference: it enumerates one graph's
 circles from its own permutation table.  This module computes the same
-quantities for millions of instances at once with numpy, from the
-circle table :func:`~doublesign.oracle.circle_edge_indices`, so the full
-hub-normalized families (4^10 labelings at n = 6) stay in the seconds
-range.  Consumers cross-check sampled rows against the per-instance
-oracle, so the two routes stay independent checks on each other.
+quantities for millions of instances at once with numpy, walking every
+Hamiltonian circle of K_n depth first (:func:`_circle_labels`), so the
+full hub-normalized families (4^10 labelings at n = 6) stay in the
+seconds range.  It builds no circle table and shares no enumeration
+code with the oracle; consumers cross-check sampled rows against the
+per-instance oracle, so the two routes stay independent checks on each
+other.
 
 Per instance the sweep reports bit masks over the four labels: which
 labels some triangle realizes (``tri_mask``), which labels the triangles
@@ -17,12 +19,14 @@ each label sits.  Normalized at vertex 1, edge u-w carries the label of
 triangle 1-u-w, so the hub-1 facts are the non-hub edge facts of the
 hub-normalized family, read off any row without normalizing it.
 
-Callers pass one row per instance.  The kernel works column-major: each
-batch is transposed once into one contiguous uint8 row per edge, the
-triangle labels become a contiguous (triangles, rows) block of one-hot
-bits ``1 << label`` that the K4 stage reuses, and the circle and K4
-loops XOR and OR in place into preallocated buffers.  Every step then
-reads contiguous memory, and the loops allocate no temporary per step.
+Callers pass one row per instance.  The kernel works column-major, on
+one contiguous uint8 row per edge: :func:`analyze_sign_matrix`
+transposes its batch once, and family chunks are written in that layout
+straight from their indices.  The triangle labels become a contiguous
+(triangles, rows) block of one-hot bits ``1 << label`` that the K4 stage
+reuses, and the circle and K4 loops XOR and OR in place into
+preallocated buffers.  Every step then reads contiguous memory, and the
+loops allocate no temporary per step.
 """
 
 from __future__ import annotations
@@ -30,21 +34,22 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import combinations, permutations, repeat
 
 import numpy as np
 
 from .census import quad_table, spectrum_mask, triangle_table
 from .graph import edge_index
 from .io_gen import free_edges, normalized_domain_size
-from .oracle import ENUMERATION_BOUND, circle_edge_indices
+from .oracle import ENUMERATION_BOUND
 
 POPCOUNT4 = np.array([bin(i).count("1") for i in range(16)], dtype=np.uint8)
 
 _ONE = np.uint8(1)
+_ONE16 = np.uint16(1)
 
-#: 1 << popcount(mask) for a 4-bit label mask.
-_POPCOUNT_BIT = np.left_shift(_ONE, POPCOUNT4)
+#: Bits 1 << m of the label masks m with exactly three labels.
+_THREE_LABEL_MASKS = np.uint16(sum(1 << m for m in range(16) if POPCOUNT4[m] == 3))
 
 
 @dataclass
@@ -69,6 +74,39 @@ class BatchAnalysis:
         """Labels of the hub-1 triangles: the non-hub edge labels of a
         row normalized at vertex 1."""
         return self.hub_mask[:, 0]
+
+
+def _circle_labels(n: int, cols: np.ndarray) -> np.ndarray:
+    """Per row of the (edges, rows) block ``cols``, the mask of labels
+    some Hamiltonian circle realizes.
+
+    Each circle (1, first, ..., last) with first < last is the XOR of its
+    n edges.  For each end pair the middle paths are walked in
+    lexicographic order, so consecutive paths share a prefix: ``acc[d]``
+    holds the label of the walk last-1-first plus its first d middle
+    steps, and only the steps after the shared prefix are recomputed.
+    """
+    rows = cols.shape[1]
+    col = {(u, v): cols[edge_index(n, u, v)] for u, v in permutations(range(1, n + 1), 2)}
+    spec_mask = np.zeros(rows, dtype=np.uint8)
+    acc = np.empty((n, rows), dtype=np.uint8)
+    leaf = np.empty(rows, dtype=np.uint8)
+    depth = n - 3  # middle vertices per circle
+    for first, last in combinations(range(2, n + 1), 2):
+        np.bitwise_xor(col[last, 1], col[1, first], out=acc[0])
+        middle = [v for v in range(2, n + 1) if v != first and v != last]
+        walk = [first] * (depth + 1)  # first, then the middle path acc holds
+        for path in permutations(middle):
+            shared = 0
+            while shared < depth and walk[shared + 1] == path[shared]:
+                shared += 1
+            for d in range(shared, depth):
+                walk[d + 1] = path[d]
+                np.bitwise_xor(acc[d], col[walk[d], path[d]], out=acc[d + 1])
+            np.bitwise_xor(acc[depth], col[walk[depth], last], out=leaf)
+            np.left_shift(_ONE, leaf, out=leaf)
+            spec_mask |= leaf
+    return spec_mask
 
 
 def _analyze_columns(n: int, cols: np.ndarray) -> BatchAnalysis:
@@ -97,26 +135,20 @@ def _analyze_columns(n: int, cols: np.ndarray) -> BatchAnalysis:
         for label in range(4):
             np.copyto(first_edge[label], k, where=tri_bits[k] == (1 << label))
 
-    spec_mask = np.zeros(rows, dtype=np.uint8)
-    acc = np.empty(rows, dtype=np.uint8)
-    for first, second, *rest in circle_edge_indices(n):
-        np.bitwise_xor(cols[first], cols[second], out=acc)
-        for e in rest:
-            acc ^= cols[e]
-        np.left_shift(_ONE, acc, out=acc)
-        spec_mask |= acc
+    spec_mask = _circle_labels(n, cols)
 
-    # Bit p of ``seen`` is set when some K4 has p distinct triangle labels.
-    seen = np.zeros(rows, dtype=np.uint8)
+    # Bit m of ``seen`` is set when some K4's triangles realize label mask m.
+    seen = np.zeros(rows, dtype=np.uint16)
     qmask = np.empty(rows, dtype=np.uint8)
+    qbit = np.empty(rows, dtype=np.uint16)
     for _, (p, q, r, s) in quad_table(n):
         np.bitwise_or(tri_bits[p], tri_bits[q], out=qmask)
         qmask |= tri_bits[r]
         qmask |= tri_bits[s]
-        np.take(_POPCOUNT_BIT, qmask, out=qmask)
-        seen |= qmask
-    sigma4star = (seen & (1 << 4)) != 0
-    quad3 = (seen & (1 << 3)) != 0
+        np.left_shift(_ONE16, qmask, out=qbit)
+        seen |= qbit
+    sigma4star = np.bitwise_and(seen, 1 << 0b1111, out=qbit) != 0  # all four labels
+    quad3 = np.bitwise_and(seen, _THREE_LABEL_MASKS, out=qbit) != 0
     return BatchAnalysis(
         n, diversity, tri_mask, spec_mask, sigma4star, quad3, hub_mask.T, first_edge.T
     )
@@ -158,17 +190,26 @@ def signs_from_indices(n: int, indices: np.ndarray) -> np.ndarray:
     Matches ``io_gen.instance_from_index`` row for row: free edge k takes
     base-4 digit k of the index, hub edges stay identity.
     """
-    idx = np.asarray(indices, dtype=np.int64)
-    out = np.zeros((len(idx), n * (n - 1) // 2), dtype=np.uint8)
-    for k, (u, v) in enumerate(free_edges(n)):
-        out[:, edge_index(n, u, v)] = ((idx >> (2 * k)) & 3).astype(np.uint8)
-    return out
+    return np.ascontiguousarray(_index_columns(n, np.array(indices, dtype=np.int64)).T)
+
+
+def _index_columns(n: int, idx: np.ndarray) -> np.ndarray:
+    """The sign matrix of the int64 indices ``idx`` in the kernel's
+    (edges, rows) layout.  ``idx`` is consumed: it is shifted right in
+    place one base-4 digit per free edge."""
+    cols = np.zeros((n * (n - 1) // 2, len(idx)), dtype=np.uint8)
+    for u, v in free_edges(n):
+        col = cols[edge_index(n, u, v)]
+        col[:] = idx
+        col &= 3
+        idx >>= 2
+    return cols
 
 
 def _sweep_chunk(n: int, start: int, stop: int) -> BatchAnalysis:
     """The family rows [start, min(start + _CHUNK, stop))."""
     idx = np.arange(start, min(start + _CHUNK, stop), dtype=np.int64)
-    return _analyze_columns(n, np.ascontiguousarray(signs_from_indices(n, idx).T))
+    return _analyze_columns(n, _index_columns(n, idx))
 
 
 #: Whole families, by n; sub-ranges are never kept.

@@ -274,7 +274,7 @@ class TestCli:
         assert main(["construct", "--in", str(path)]) == 1
         assert main(["construct", "--named", "identity(6)", "--json"]) == 1
         assert capsys.readouterr().out == (
-            '{"refused": "triangle diversity bounds the spectrum to [<F22.E: 0>]"}\n'
+            '{"refused": "triangle diversity bounds the spectrum to {e}"}\n'
         )
 
     def test_construct_success(self, capsys):

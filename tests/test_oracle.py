@@ -24,6 +24,7 @@ from doublesign import (
     walk_sign,
 )
 from doublesign import oracle
+from doublesign.graph import edge_index
 from doublesign.lemma_lab import k4_from_index
 from doublesign.oracle import Spectrum, hamiltonian_circle_count, hamiltonian_circles
 
@@ -380,18 +381,73 @@ def test_analyze_sign_matrix_rejects_malformed_input(signs, message):
         analyze_sign_matrix(5, signs)
 
 
-def test_sweep_refuses_n_above_the_enumeration_bound():
+def test_sweep_refuses_n_above_the_enumeration_bound(monkeypatch):
     # n = 11 would enumerate 1,814,400 circles per row: refused before the
-    # circle table is built
+    # kernel sees a row
     from doublesign import oracle, sweep
 
+    def no_kernel(*args):
+        raise AssertionError("swept rows above the enumeration bound")
+
+    monkeypatch.setattr(sweep, "_sweep_chunk", no_kernel)
+    monkeypatch.setattr(sweep, "_analyze_columns", no_kernel)
     n = oracle.ENUMERATION_BOUND + 1
-    cached = oracle.circle_edge_indices.cache_info().currsize
     with pytest.raises(ValueError, match=f"n={n} is above the enumeration bound"):
         sweep.analyze_sign_matrix(n, np.zeros((0, n * (n - 1) // 2), dtype=np.uint8))
     with pytest.raises(ValueError, match=f"n={n} is above the enumeration bound"):
         sweep.run_normalized_sweep(n, 0, 1)
-    assert oracle.circle_edge_indices.cache_info().currsize == cached
+
+
+def _circle_mask(n, row):
+    """Labels of the Hamiltonian circles of one sign row, by brute force."""
+    mask = 0
+    for perm in permutations(range(2, n + 1)):
+        if perm[0] < perm[-1]:
+            tour = (1,) + perm + (1,)
+            label = 0
+            for u, v in zip(tour, tour[1:]):
+                label ^= int(row[edge_index(n, u, v)])
+            mask |= 1 << label
+    return mask
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_circle_walk_matches_a_permutation_enumeration(n):
+    from doublesign import instance_from_index, triangle_census
+    from doublesign.io_gen import random_sign_matrix
+    from doublesign.sweep import analyze_sign_matrix, signs_from_indices
+
+    rows = random_sign_matrix(n, range(40 if n < 8 else 12))
+    rows = np.concatenate([rows, rows & 1, rows | 2])  # plus two-label rows
+    if n == 5:
+        # triangle counts (2, 2, 2, 4): exactly one label is missing
+        picked = [
+            i for i in range(200)
+            if sorted(triangle_census(instance_from_index(5, i)).counts.values()) == [2, 2, 2, 4]
+        ]
+        assert len(picked) >= 10
+        rows = np.concatenate([rows, signs_from_indices(5, picked)])
+    want = [_circle_mask(n, row) for row in rows]
+    if n == 5:
+        assert {bin(m).count("1") for m in want[-len(picked):]} == {3}
+    assert analyze_sign_matrix(n, rows).spec_mask.tolist() == want
+    assert analyze_sign_matrix(n, rows[:0]).spec_mask.shape == (0,)
+
+
+def test_the_sweep_never_builds_the_circle_table(monkeypatch):
+    import sys
+
+    from doublesign.io_gen import random_sign_matrix
+    from doublesign.sweep import analyze_sign_matrix, run_normalized_sweep
+
+    def no_table(n):
+        raise AssertionError(f"built the circle table for n={n}")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("doublesign") and hasattr(module, "circle_edge_indices"):
+            monkeypatch.setattr(module, "circle_edge_indices", no_table)
+    assert analyze_sign_matrix(7, random_sign_matrix(7, range(40))).size == 40
+    assert run_normalized_sweep(7, 0, 1 << 16).size == 1 << 16
 
 
 def test_sweep_caches_whole_families_only():
