@@ -178,7 +178,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        report = lemma_lab.verify(args.lemma, args.scope, seed=args.seed, jobs=args.jobs)
+        report = lemma_lab.verify(args.lemma, args.scope, seed=args.seed)
     except (KeyError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -228,7 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--scope", required=True,
                    help="exhaustive_k4 | exhaustive_group | exhaustive_normalized:N | random:N:COUNT")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 

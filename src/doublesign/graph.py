@@ -11,7 +11,7 @@ safe to share across workers.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import combinations, islice
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -27,12 +27,6 @@ def edge_index(n: int, u: int, v: int) -> int:
     if u < 1 or v > n:
         raise ValueError(f"vertex out of range for n={n}: ({u}, {v})")
     return (u - 1) * (2 * n - u) // 2 + (v - u - 1)
-
-
-@lru_cache(maxsize=None)
-def all_edges(n: int) -> tuple[tuple[int, int], ...]:
-    """All unordered pairs (u, v), u < v, in index order."""
-    return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
 
 
 def _row_table(n: int, signs: bytes) -> tuple[bytes, ...]:
@@ -95,7 +89,7 @@ class SignedCompleteGraph:
 
     def edges(self) -> Iterator[tuple[int, int, F22]]:
         """All edges with their labels, in index order."""
-        for (u, v), s in zip(all_edges(self.n), self._signs):
+        for (u, v), s in zip(combinations(self.vertices(), 2), self._signs):
             yield u, v, ELEMENTS[s]
 
     def vertices(self) -> range:
@@ -129,7 +123,7 @@ def build(n: int, signs: Iterable[tuple[int, int, F22]]) -> SignedCompleteGraph:
             raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
         buf[idx] = int(F22(s))
     if 255 in buf:
-        u, v = all_edges(n)[buf.index(255)]
+        u, v = next(islice(combinations(range(1, n + 1), 2), buf.index(255), None))
         raise ValueError(f"missing edge ({u}, {v})")
     return SignedCompleteGraph(n, bytes(buf))
 

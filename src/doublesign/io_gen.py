@@ -14,6 +14,8 @@ one back.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 from typing import Iterator, Optional
 
 import numpy as np
@@ -39,7 +41,7 @@ def free_edges(n: int) -> tuple[tuple[int, int], ...]:
 
 def normalized_domain_size(n: int) -> int:
     """4 to the number of free edges."""
-    return 4 ** len(free_edges(n))
+    return 4 ** comb(max(n - 1, 0), 2)
 
 
 def instance_from_index(n: int, index: int) -> SignedCompleteGraph:
@@ -52,7 +54,7 @@ def instance_from_index(n: int, index: int) -> SignedCompleteGraph:
     if not 0 <= index < size:
         raise ValueError(f"index {index} outside [0, {size})")
     buf = bytearray(n * (n - 1) // 2)
-    for u, v in free_edges(n):
+    for u, v in combinations(range(2, n + 1), 2):  # the free edges, in order
         buf[edge_index(n, u, v)] = index & 3
         index >>= 2
     return SignedCompleteGraph(n, bytes(buf))
@@ -221,7 +223,8 @@ def parse(text: str) -> SignedCompleteGraph:
     if n is None:
         raise ParseError("empty input: missing 'n=<N>' header")
     # Walk the pairs lazily: the first missing one is at most one past the
-    # edges given, so a large header alone costs nothing.
+    # edges given, so a large header alone costs nothing.  (``combinations``
+    # would first copy all n vertices into a tuple.)
     pairs = ((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
     for idx, (u, v) in enumerate(pairs):
         if idx not in seen:

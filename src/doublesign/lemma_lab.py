@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .census import CommonSignTriple, classify_k4, is_forest, triangle_census
-from .graph import SignedCompleteGraph, all_edges, triangle_sign
+from .graph import SignedCompleteGraph, triangle_sign
 from .group import ELEMENTS, F22, NONZERO, pair_sums
 from .io_gen import free_edges, gen_random, normalized_domain_size, random_sign_matrix
 from .oracle import ENUMERATION_BOUND, k4_path_report
@@ -261,11 +261,11 @@ def _graph_instances(scope: Scope) -> Iterable[tuple[int, SignedCompleteGraph]]:
         raise TypeError(f"not an instance scope: {scope}")
 
 
-def _batches(scope: Scope, jobs: int) -> Iterable[tuple[sweep_mod.BatchAnalysis, np.ndarray]]:
+def _batches(scope: Scope) -> Iterable[tuple[sweep_mod.BatchAnalysis, np.ndarray]]:
     """The scope's rows as sweep batches, each with the keys naming its rows:
     family or K4 indices, or the seeds of random instances."""
     if isinstance(scope, ExhaustiveNormalized):
-        batch = sweep_mod.run_normalized_sweep(scope.n, jobs=jobs)
+        batch = sweep_mod.run_normalized_sweep(scope.n)
         yield batch, np.arange(batch.size)
     elif isinstance(scope, ExhaustiveK4):
         index = np.arange(K4_DOMAIN_SIZE)
@@ -281,14 +281,14 @@ def _sweep_claim(reduce: Callable, detail: str) -> Callable:
     """A verifier running ``reduce(batch) -> (violating rows, stats)`` over
     every batch of a scope, naming each violating row by its key."""
 
-    def verifier(scope: Scope, report: VerificationReport, jobs: int) -> None:
+    def verifier(scope: Scope, report: VerificationReport) -> None:
         if isinstance(scope, RandomScope) and scope.n > ENUMERATION_BOUND:
             raise ValueError(
                 f"{report.lemma} checks random scopes up to n = {ENUMERATION_BOUND}, "
                 f"got n = {scope.n}"
             )
         name = "instance" if isinstance(scope, RandomScope) else "index"
-        for batch, keys in _batches(scope, jobs):
+        for batch, keys in _batches(scope):
             bad, stats = reduce(batch)
             report.scanned += len(keys)
             for key in keys[bad]:
@@ -326,7 +326,7 @@ def _spectrum_bound(covers: Callable, exact: bool) -> Callable:
     return reduce
 
 
-def _verify_proposition_norm(scope: Scope, report: VerificationReport, jobs: int) -> None:
+def _verify_proposition_norm(scope: Scope, report: VerificationReport) -> None:
     """Normalizing v rewrites each remaining edge to its old triangle label."""
     for key, g in _graph_instances(scope):
         report.scanned += 1
@@ -337,7 +337,7 @@ def _verify_proposition_norm(scope: Scope, report: VerificationReport, jobs: int
             for u in g.vertices():
                 if u != v and gn.sign(u, v) != F22.E:
                     report.add_violation({"instance": key, "detail": f"star at {v} not identity"})
-            for a, b in all_edges(g.n):
+            for a, b in combinations(g.vertices(), 2):
                 if v in (a, b):
                     continue
                 expect = triangle_sign(g, (a, b, v))
@@ -356,7 +356,7 @@ def _group_claim(hypothesis: Callable, check: Callable) -> Callable:
     details, over every pair of distinct nonzero y1, y2 and distinct z1, z2
     that meets ``hypothesis``, naming each violation by its tuple."""
 
-    def verifier(scope: Scope, report: VerificationReport, jobs: int) -> None:
+    def verifier(scope: Scope, report: VerificationReport) -> None:
         for quad in product(NONZERO, NONZERO, ELEMENTS, ELEMENTS):
             y1, y2, z1, z2 = quad
             if y1 == y2 or z1 == z2 or not hypothesis({y1, y2}, {z1, z2}):
@@ -391,7 +391,7 @@ def _k4_claim(check: Callable, all_distinct: bool = True, stat: Optional[str] = 
     over every :class:`K4Record` (or the all-distinct ones), naming each
     violation by its index; ``stat`` counts the all-distinct labelings."""
 
-    def verifier(scope: Scope, report: VerificationReport, jobs: int) -> None:
+    def verifier(scope: Scope, report: VerificationReport) -> None:
         star_count = 0
         for r in _k4_records():
             star_count += r.order is not None
@@ -592,20 +592,18 @@ def verify(
     scope: Scope | str,
     *,
     seed: int = 0,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Check one claim over one domain and report violations verbatim.
 
-    ``jobs`` below 1 is refused.  Exhaustive scopes above
-    :data:`sweep.MAX_SWEEP_ROWS` instances (n > 6) are refused before any
-    row is swept, and random scopes of the sweep-backed claims above the
-    oracle's enumeration bound before any row is drawn.  Random
-    scopes embed their seed in the report, so any violation can be
+    Exhaustive scopes the sweep refuses (n > 6, see
+    :func:`sweep.check_sweep_range`) are refused before their domain is
+    described or any row is swept, and random scopes of the sweep-backed
+    claims above the oracle's enumeration bound before any row is drawn.
+    Random scopes embed their seed in the report, so any violation can be
     replayed.
     """
     if lemma_id not in _REGISTRY:
         raise KeyError(f"unknown claim id {lemma_id!r}")
-    _at_least("jobs", jobs, 1)
     if isinstance(scope, str):
         scope = parse_scope(scope, seed)
     fn, allowed, _ = _REGISTRY[lemma_id]
@@ -615,11 +613,13 @@ def verify(
     # every scope these claims allow has an n
     if lemma_id in _NEEDS_N6 and scope.n < 6:
         raise ValueError(f"{lemma_id} is a statement about n > 5")
+    if isinstance(scope, ExhaustiveNormalized):
+        sweep_mod.check_sweep_range(scope.n)
 
     report = VerificationReport(lemma_id, scope.describe(), 0)
     if isinstance(scope, RandomScope):
         report.stats["seed"] = scope.seed
     start = time.perf_counter()
-    fn(scope, report, jobs)
+    fn(scope, report)
     report.elapsed = time.perf_counter() - start
     return report

@@ -31,10 +31,8 @@ loops allocate no temporary per step.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -219,28 +217,19 @@ _SWEEP_CACHE: dict[int, BatchAnalysis] = {}
 #: family (4^15 rows) would need about 17 GB of result arrays.
 MAX_SWEEP_ROWS = 4 ** 10
 
-#: Rows per sweep chunk: bounds the working arrays of one chunk and is the
-#: unit of work handed to each worker process.
+#: Rows per sweep chunk: bounds the working arrays of one chunk.
 _CHUNK = 1 << 16
 
+#: One past the largest row index a chunk's int64 indices hold; the
+#: n = 10 family has 4^36 = 2^72 rows.
+_INDEX_LIMIT = 2 ** 63
 
-def run_normalized_sweep(
-    n: int,
-    start: int = 0,
-    stop: int | None = None,
-    *,
-    jobs: int = 1,
-) -> BatchAnalysis:
-    """Sweep an index range of the hub-normalized family (default: all).
 
-    The range is walked lazily in chunks of :data:`_CHUNK` rows, by worker
-    processes when ``jobs > 1`` (at most one per chunk and per CPU), and
-    the results concatenated in index order; the output is identical to a
-    single-worker run, so whole families are cached, with read-only
-    arrays.  Raises ``ValueError`` for n above
-    :data:`oracle.ENUMERATION_BOUND` and, before any chunk is swept, for a
-    range of more than :data:`MAX_SWEEP_ROWS` rows.
-    """
+def check_sweep_range(n: int, start: int = 0, stop: int | None = None) -> int:
+    """The checked stop of an index range of the hub-normalized family
+    (default: the family size).  Raises ``ValueError`` for n above
+    :data:`oracle.ENUMERATION_BOUND`, or for a range outside the family, of
+    more than :data:`MAX_SWEEP_ROWS` rows, or past :data:`_INDEX_LIMIT`."""
     _check_enumeration_bound(n)
     total = normalized_domain_size(n)
     if stop is None:
@@ -249,17 +238,24 @@ def run_normalized_sweep(
         raise ValueError(f"bad range [{start}, {stop}) for domain of {total}")
     if stop - start > MAX_SWEEP_ROWS:
         raise ValueError(f"range of {stop - start} rows exceeds MAX_SWEEP_ROWS={MAX_SWEEP_ROWS}")
-    whole = start == 0 and stop == total
+    if stop > _INDEX_LIMIT:
+        raise ValueError(f"range [{start}, {stop}) passes the int64 index limit 2**63")
+    return stop
+
+
+def run_normalized_sweep(n: int, start: int = 0, stop: int | None = None) -> BatchAnalysis:
+    """Sweep an index range of the hub-normalized family (default: all),
+    one chunk of :data:`_CHUNK` rows after another, concatenated in index
+    order.  Whole families are cached, with read-only arrays.  A range
+    :func:`check_sweep_range` refuses is refused before any chunk is swept.
+    """
+    stop = check_sweep_range(n, start, stop)
+    whole = start == 0 and stop == normalized_domain_size(n)
     if whole and n in _SWEEP_CACHE:
         return _SWEEP_CACHE[n]
     # An empty range is swept as one empty chunk.
     starts = range(start, stop, _CHUNK) or range(start, start + 1)
-    workers = min(jobs, len(starts), os.cpu_count() or 1)
-    if workers <= 1:
-        parts = [_sweep_chunk(n, a, stop) for a in starts]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_chunk, repeat(n), starts, repeat(stop)))
+    parts = [_sweep_chunk(n, a, stop) for a in starts]
     arrays = [f.name for f in fields(BatchAnalysis)[1:]]
     result = parts[0] if len(parts) == 1 else BatchAnalysis(
         n, *(np.concatenate([getattr(p, name) for p in parts]) for name in arrays)

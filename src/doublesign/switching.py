@@ -10,9 +10,10 @@ used to span with the normalized vertex.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Mapping, Sequence
 
-from .graph import SignedCompleteGraph, all_edges
+from .graph import SignedCompleteGraph
 from .group import ELEMENTS, F22
 
 SwitchingFunction = Mapping[int, F22]
@@ -36,7 +37,7 @@ def _switch(g: SignedCompleteGraph, z: Sequence[int]) -> SignedCompleteGraph:
     """``apply`` with the switching as ints indexed by vertex."""
     rows = g.rows
     return SignedCompleteGraph(
-        g.n, bytes(z[u] ^ rows[u][v] ^ z[v] for u, v in all_edges(g.n))
+        g.n, bytes(z[u] ^ rows[u][v] ^ z[v] for u, v in combinations(g.vertices(), 2))
     )
 
 

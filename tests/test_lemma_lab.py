@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,10 +53,9 @@ def test_parse_scope_forms():
         ("lemma1", "exhaustive_normalized:-1", 2),
         ("lemma1", "exhaustive_normalized:2", 2),
         ("lemma1", "random:3:5", 0),  # no K4 at n = 3, so nothing to violate
-        # worker counts below one, refused before any row is swept
-        pytest.param("lemma1", "exhaustive_k4 --jobs 0", 2, id="lemma1-exhaustive_k4-jobs0-2"),
-        pytest.param("lemma_b", "exhaustive_normalized:6 --jobs -3", 2,
-                     id="lemma_b-exhaustive_normalized:6-jobs-3-2"),
+        # the sweep runs in one process, so there is no worker count to pass
+        pytest.param("lemma_b", "exhaustive_normalized:6 --jobs 2", 2,
+                     id="lemma_b-exhaustive_normalized:6-jobs2-2"),
         # a negative seed, refused by name before any row is drawn
         pytest.param("lemma_b", "random:6:5 --seed -3", 2, id="lemma_b-random:6:5-seed-3-2"),
         # scope objects handed to verify directly, past the scope parser
@@ -72,11 +73,17 @@ def test_degenerate_scopes_are_usage_errors_or_pass(lemma, scope, code, capsys):
             verify(lemma, scope())
         return
     scope, *options = scope.split()
-    assert main(["verify", "--lemma", lemma, "--scope", scope, *options]) == code
+    try:
+        exit_code = main(["verify", "--lemma", lemma, "--scope", scope, *options])
+    except SystemExit as exc:  # argparse refuses an unknown option
+        exit_code = exc.code
+    assert exit_code == code
     if code == 2:
-        least = {"--jobs": 1, "--seed": 0}
-        named = (f"{options[0][2:]} must be at least {least[options[0]]}, got {options[-1]}"
-                 if options else repr(scope))
+        named = repr(scope)
+        if options[:1] == ["--jobs"]:
+            named = "unrecognized arguments: --jobs 2"
+        elif options:
+            named = f"seed must be at least 0, got {options[-1]}"
         assert named in capsys.readouterr().err
     else:
         assert "PASS over 5 seeded" in capsys.readouterr().out
@@ -102,11 +109,27 @@ def test_a_sweep_of_more_than_4_10_rows_is_refused_before_any_chunk(monkeypatch,
 
     monkeypatch.setattr(sweep, "_sweep_chunk", no_chunk)
     with pytest.raises(ValueError, match="range of 1073741824 rows exceeds MAX_SWEEP_ROWS=1048576"):
-        verify("lemma_b", "exhaustive_normalized:7", jobs=2)
+        verify("lemma_b", "exhaustive_normalized:7")
     with pytest.raises(ValueError, match="exceeds MAX_SWEEP_ROWS"):
         sweep.run_normalized_sweep(7, 5, 6 + 4 ** 10)
     assert main(["verify", "--lemma", "lemma1", "--scope", "exhaustive_normalized:8"]) == 2
     assert "exceeds MAX_SWEEP_ROWS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [3000, 10**6])
+def test_an_oversized_exhaustive_scope_is_refused_fast_and_small(n, capsys):
+    # refused before the domain size 4^((n-1)(n-2)/2) is built or rendered
+    tracemalloc.start()
+    begin = time.perf_counter()
+    try:
+        code = main(["verify", "--lemma", "lemma1", "--scope", f"exhaustive_normalized:{n}"])
+        elapsed = time.perf_counter() - begin
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"n={n} is above the enumeration bound 10" in capsys.readouterr().err
+    assert elapsed < 1.0 and peak < 1 << 20
 
 
 def test_n6_statements_refuse_small_n():
@@ -211,8 +234,8 @@ def test_a_corrupted_batch_row_is_reported_by_its_key(case, scope, key, monkeypa
     batches = lemma_lab._batches
 
     def corrupted(rows):
-        def source(scope, jobs):
-            for batch, keys in batches(scope, jobs):
+        def source(scope):
+            for batch, keys in batches(scope):
                 copy = dataclasses.replace(batch, **{
                     f.name: getattr(batch, f.name).copy()
                     for f in dataclasses.fields(batch) if f.name != "n"
@@ -224,7 +247,7 @@ def test_a_corrupted_batch_row_is_reported_by_its_key(case, scope, key, monkeypa
 
     clean = verify(lemma, scope, seed=5)
     assert clean.passed
-    _, keys = next(batches(lemma_lab.parse_scope(scope, seed=5), 1))
+    _, keys = next(batches(lemma_lab.parse_scope(scope, seed=5)))
     monkeypatch.setattr(lemma_lab, "_batches", corrupted([17]))
     report = verify(lemma, scope, seed=5)
     assert report.violation_count == 1

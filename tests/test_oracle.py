@@ -215,6 +215,24 @@ def test_oracle_and_solver_share_no_code():
     assert {"census", "graph"} <= _import_closure("solver")
 
 
+def test_importing_the_package_loads_no_process_pool():
+    # the library sweeps in one process, so no import of it should pay
+    # for multiprocessing or concurrent.futures
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import doublesign
+
+    src = str(Path(doublesign.__file__).resolve().parents[1])
+    code = ("import sys; import doublesign, doublesign.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_deleting_an_edge_shifts_by_that_edge(share_vertex_k4):
     g = share_vertex_k4
     for circle in (Circle((1, 2, 3, 4)), Circle((1, 2, 4, 3)), Circle((1, 3, 2, 4))):
@@ -285,7 +303,7 @@ def test_vectorized_sweep_matches_scalar_oracle():
         ("random:7:20", 0, lambda key: gen_random(7, key)),
         ("exhaustive_k4", 0, k4_from_index),
     ):
-        (batch, keys), = _batches(parse_scope(scope, seed), 1)
+        (batch, keys), = _batches(parse_scope(scope, seed))
         rows = range(len(keys))
         if scope == "exhaustive_normalized:5":
             rows = np.random.default_rng(11).integers(0, batch.size, 120)
@@ -303,7 +321,6 @@ def test_vectorized_sweep_matches_scalar_oracle():
 def test_n7_sweep_chunk_matches_scalar_oracle(chunk):
     from doublesign import SignedCompleteGraph, triangle_census
     from doublesign.census import first_all_distinct_k4
-    from doublesign.graph import all_edges
     from doublesign.sweep import analyze_sign_matrix, run_normalized_sweep, signs_from_indices
 
     rng = np.random.default_rng(71)
@@ -313,7 +330,7 @@ def test_n7_sweep_chunk_matches_scalar_oracle(chunk):
         # A seeded switching per row keeps every triangle and circle label
         # but moves the hub edges off the identity.
         zeta = rng.integers(0, 4, size=(len(signs), 8), dtype=np.uint8)
-        for e, (u, v) in enumerate(all_edges(7)):
+        for e, (u, v) in enumerate(combinations(range(1, 8), 2)):
             signs[:, e] ^= zeta[:, u] ^ zeta[:, v]
         sw = analyze_sign_matrix(7, signs)
     else:
@@ -398,6 +415,26 @@ def test_sweep_refuses_n_above_the_enumeration_bound(monkeypatch):
         sweep.run_normalized_sweep(n, 0, 1)
 
 
+def test_sweep_refuses_rows_past_the_int64_indices(monkeypatch):
+    # the n = 10 family has 2^72 rows, but a chunk's indices are int64
+    from doublesign import sweep
+    from doublesign.io_gen import instance_from_index
+
+    def no_chunk(*args):
+        raise AssertionError(f"swept a chunk {args}")
+
+    monkeypatch.setattr(sweep, "_sweep_chunk", no_chunk)
+    # numpy refuses the first two ranges with OverflowError and wraps the third
+    for start, stop in ((2**70, 2**70 + 2), (2**63 - 1, 2**63 + 1), (2**63 - 2, 2**63 + 1)):
+        with pytest.raises(ValueError, match=r"int64 index limit 2\*\*63"):
+            sweep.run_normalized_sweep(10, start, stop)
+    monkeypatch.setattr(sweep, "_sweep_chunk", lambda *args: args)  # the last legal range
+    assert sweep.run_normalized_sweep(10, 2**63 - 2, 2**63) == (10, 2**63 - 2, 2**63)
+    for index in (2**63 - 2, 2**63 - 1):
+        row = sweep.signs_from_indices(10, [index])[0]
+        assert bytes(row) == instance_from_index(10, index)._signs
+
+
 def _circle_mask(n, row):
     """Labels of the Hamiltonian circles of one sign row, by brute force."""
     mask = 0
@@ -478,36 +515,3 @@ def test_cached_sweep_record_is_read_only():
     assert verify("lemma22", "exhaustive_normalized:5").passed
     part = sweep.run_normalized_sweep(5, 16, 80)  # sub-ranges are the caller's own
     assert all(getattr(part, name).flags.writeable for name in names)
-
-
-def test_sweep_pool_is_bounded_by_chunks_and_cpus(monkeypatch):
-    # a process pool starts all its workers at the first submit, so a huge
-    # ``jobs`` must not reach it; a stand-in records the size asked for and
-    # maps in this process
-    from doublesign import sweep
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
-    stop = 3 * sweep._CHUNK + 5  # four chunks
-    serial = sweep.run_normalized_sweep(6, 0, stop)
-    for cpus, expected in ((64, [4]), (2, [2]), (1, []), (None, [])):
-        sizes.clear()
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
-        got = sweep.run_normalized_sweep(6, 0, stop, jobs=100_000)
-        assert sizes == expected
-        assert (got.spec_mask == serial.spec_mask).all()
-        assert (got.hub_mask == serial.hub_mask).all()
