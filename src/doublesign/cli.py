@@ -81,8 +81,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The largest n ``census`` scans; it looks up all C(n, 4) K4s one by one.
+MAX_CENSUS_N = 100
+
+
 def _cmd_census(args: argparse.Namespace) -> int:
     g = _load_instance(args)
+    if g.n > MAX_CENSUS_N:
+        raise SystemExit2(f"census scans n <= MAX_CENSUS_N={MAX_CENSUS_N}, got n={g.n}")
     census = triangle_census(g)
     all_distinct = 0
     with_triple = {"star": 0, "triangle": 0}

@@ -5,8 +5,7 @@ unordered pair in a flat triangular array, cheap to copy during sign
 sweeps and read by whole-graph passes.  Single labels are read as ints
 from the row table ``rows`` that the constructor builds once; :class:`F22`
 is built only where a public function returns a label.  Graphs are
-immutable after construction; every operation here is read-only and
-safe to share across workers.
+immutable after construction, and every operation here is read-only.
 """
 
 from __future__ import annotations

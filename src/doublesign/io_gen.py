@@ -48,8 +48,9 @@ def instance_from_index(n: int, index: int) -> SignedCompleteGraph:
     """The hub-normalized instance with the given labeling index.
 
     Index 0 is the all-identity graph; the map is a bijection onto
-    ``range(normalized_domain_size(n))``.
+    ``range(normalized_domain_size(n))`` (n <= :data:`MAX_GENERATED_N`).
     """
+    _check_generated_size(n)
     size = normalized_domain_size(n)
     if not 0 <= index < size:
         raise ValueError(f"index {index} outside [0, {size})")

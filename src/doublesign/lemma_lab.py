@@ -90,12 +90,13 @@ def _at_least(name: str, value: int, least: int) -> None:
 
 @dataclass(frozen=True)
 class ExhaustiveNormalized:
-    """All hub-normalized labelings at a given n >= 3."""
+    """All hub-normalized labelings at n, 3 <= n <= 6 (what the sweep takes)."""
 
     n: int
 
     def __post_init__(self) -> None:
         _at_least("N", self.n, 3)
+        sweep_mod.check_sweep_range(self.n)
 
     def describe(self) -> str:
         return f"all {normalized_domain_size(self.n)} hub-normalized labelings at n={self.n}"
@@ -263,18 +264,23 @@ def _graph_instances(scope: Scope) -> Iterable[tuple[int, SignedCompleteGraph]]:
 
 def _batches(scope: Scope) -> Iterable[tuple[sweep_mod.BatchAnalysis, np.ndarray]]:
     """The scope's rows as sweep batches, each with the keys naming its rows:
-    family or K4 indices, or the seeds of random instances."""
-    if isinstance(scope, ExhaustiveNormalized):
-        batch = sweep_mod.run_normalized_sweep(scope.n)
-        yield batch, np.arange(batch.size)
-    elif isinstance(scope, ExhaustiveK4):
+    the 4,096 K4 indices at once, else family indices or the seeds of
+    random instances one chunk of ``sweep._CHUNK`` keys at a time."""
+    if isinstance(scope, ExhaustiveK4):
         index = np.arange(K4_DOMAIN_SIZE)
         yield sweep_mod.analyze_sign_matrix(4, (index[:, None] >> 2 * np.arange(6)) & 3), index
+        return
+    if isinstance(scope, ExhaustiveNormalized):
+        first, stop = 0, normalized_domain_size(scope.n)
     else:
-        stop = scope.seed + scope.count
-        for start in range(scope.seed, stop, sweep_mod._CHUNK):
-            seeds = np.arange(start, min(start + sweep_mod._CHUNK, stop))
-            yield sweep_mod.analyze_sign_matrix(scope.n, random_sign_matrix(scope.n, seeds)), seeds
+        first, stop = scope.seed, scope.seed + scope.count
+    for start in range(first, stop, sweep_mod._CHUNK):
+        keys = np.arange(start, min(start + sweep_mod._CHUNK, stop))
+        if isinstance(scope, ExhaustiveNormalized):
+            batch = sweep_mod.run_normalized_sweep(scope.n, start, start + len(keys))
+        else:
+            batch = sweep_mod.analyze_sign_matrix(scope.n, random_sign_matrix(scope.n, keys))
+        yield batch, keys
 
 
 def _sweep_claim(reduce: Callable, detail: str) -> Callable:
@@ -595,12 +601,9 @@ def verify(
 ) -> VerificationReport:
     """Check one claim over one domain and report violations verbatim.
 
-    Exhaustive scopes the sweep refuses (n > 6, see
-    :func:`sweep.check_sweep_range`) are refused before their domain is
-    described or any row is swept, and random scopes of the sweep-backed
-    claims above the oracle's enumeration bound before any row is drawn.
-    Random scopes embed their seed in the report, so any violation can be
-    replayed.
+    Random scopes of the sweep-backed claims above the oracle's
+    enumeration bound are refused before any row is drawn.  Random scopes
+    embed their seed in the report, so any violation can be replayed.
     """
     if lemma_id not in _REGISTRY:
         raise KeyError(f"unknown claim id {lemma_id!r}")
@@ -613,8 +616,6 @@ def verify(
     # every scope these claims allow has an n
     if lemma_id in _NEEDS_N6 and scope.n < 6:
         raise ValueError(f"{lemma_id} is a statement about n > 5")
-    if isinstance(scope, ExhaustiveNormalized):
-        sweep_mod.check_sweep_range(scope.n)
 
     report = VerificationReport(lemma_id, scope.describe(), 0)
     if isinstance(scope, RandomScope):

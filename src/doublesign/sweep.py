@@ -210,9 +210,6 @@ def _sweep_chunk(n: int, start: int, stop: int) -> BatchAnalysis:
     return _analyze_columns(n, _index_columns(n, idx))
 
 
-#: Whole families, by n; sub-ranges are never kept.
-_SWEEP_CACHE: dict[int, BatchAnalysis] = {}
-
 #: The most rows one sweep returns: the whole n = 6 family.  The n = 7
 #: family (4^15 rows) would need about 17 GB of result arrays.
 MAX_SWEEP_ROWS = 4 ** 10
@@ -246,25 +243,19 @@ def check_sweep_range(n: int, start: int = 0, stop: int | None = None) -> int:
 def run_normalized_sweep(n: int, start: int = 0, stop: int | None = None) -> BatchAnalysis:
     """Sweep an index range of the hub-normalized family (default: all),
     one chunk of :data:`_CHUNK` rows after another, concatenated in index
-    order.  Whole families are cached, with read-only arrays.  A range
-    :func:`check_sweep_range` refuses is refused before any chunk is swept.
+    order.  Nothing is kept between calls: a caller that streams a family
+    asks for one chunk at a time.  A range :func:`check_sweep_range`
+    refuses is refused before any chunk is swept.
     """
     stop = check_sweep_range(n, start, stop)
-    whole = start == 0 and stop == normalized_domain_size(n)
-    if whole and n in _SWEEP_CACHE:
-        return _SWEEP_CACHE[n]
     # An empty range is swept as one empty chunk.
     starts = range(start, stop, _CHUNK) or range(start, start + 1)
     parts = [_sweep_chunk(n, a, stop) for a in starts]
-    arrays = [f.name for f in fields(BatchAnalysis)[1:]]
-    result = parts[0] if len(parts) == 1 else BatchAnalysis(
-        n, *(np.concatenate([getattr(p, name) for p in parts]) for name in arrays)
-    )
-    if whole:
-        for name in arrays:
-            getattr(result, name).flags.writeable = False
-        _SWEEP_CACHE[n] = result
-    return result
+    if len(parts) == 1:
+        return parts[0]
+    return BatchAnalysis(n, *(
+        np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(BatchAnalysis)[1:]
+    ))
 
 
 def allowed_spectrum_mask(tri_mask: np.ndarray, n: int) -> np.ndarray:

@@ -71,8 +71,10 @@ class TestRandom:
         lambda: main(["census", "--random", "100000"]),
         lambda: main(["construct", "--named", "identity(100000)"]),
         lambda: main(["gen", "--random", "100000"]),
+        lambda: instance_from_index(3000, 0),
+        lambda: instance_from_index(100_000, 0),
     ], ids=["random-above", "random", "identity-above", "identity", "cli-census",
-            "cli-construct", "cli-gen"])
+            "cli-construct", "cli-gen", "index-3000", "index"])
     def test_oversized_instances_are_refused_fast_and_small(self, call, capsys):
         tracemalloc.start()
         begin = time.perf_counter()
@@ -232,6 +234,18 @@ class TestCli:
         assert capsys.readouterr().out.splitlines()[-1] == (
             "k4: 46/126 all-distinct (4 star triples, 6 triangle triples)"
         )
+
+    def test_census_refuses_a_graph_above_its_cap_before_any_scan(self, monkeypatch, capsys):
+        from doublesign import cli
+
+        def no_scan(g):
+            raise AssertionError(f"scanned a graph on {g.n} vertices")
+
+        monkeypatch.setattr(cli, "triangle_census", no_scan)
+        begin = time.perf_counter()
+        assert main(["census", "--named", f"identity({cli.MAX_CENSUS_N + 1})"]) == 2
+        assert time.perf_counter() - begin < 0.1
+        assert "census scans n <= MAX_CENSUS_N=100, got n=101" in capsys.readouterr().err
 
     def test_spectrum_output_is_pinned(self, capsys):
         args = ["spectrum", "--random", "10", "--seed", "3", "--witness"]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import time
 import tracemalloc
@@ -132,6 +131,19 @@ def test_an_oversized_exhaustive_scope_is_refused_fast_and_small(n, capsys):
     assert elapsed < 1.0 and peak < 1 << 20
 
 
+def test_an_exhaustive_scope_is_checked_one_chunk_at_a_time():
+    # the 4^10-row family would be 15 MiB of batch arrays at once; streamed,
+    # one 65,536-row chunk is alive at a time and nothing outlives the call
+    tracemalloc.start()
+    try:
+        report = verify("lemma_b", "exhaustive_normalized:6")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.scanned == 4 ** 10
+    assert peak < 8 << 20 and held < 1 << 20
+
+
 def test_n6_statements_refuse_small_n():
     with pytest.raises(ValueError, match="n > 5"):
         verify("lemma_b", "exhaustive_normalized:5")
@@ -226,40 +238,44 @@ CORRUPTIONS = {
 }
 
 
+#: Per scope, the batch a corruption lands in and the key of its first
+#: row: the third 65,536-row chunk of the n = 6 family, or the one batch
+#: of 40 seeds starting at seed 5.
+TARGET_BATCH = {"exhaustive_normalized:6": (2, 2 * 65_536), "random:6:40": (0, 5)}
+
+
 @pytest.mark.parametrize("scope,key", [("exhaustive_normalized:6", "index"),
                                        ("random:6:40", "instance")])
 @pytest.mark.parametrize("case", CORRUPTIONS)
 def test_a_corrupted_batch_row_is_reported_by_its_key(case, scope, key, monkeypatch):
     lemma = case.split("/")[0]
     batches = lemma_lab._batches
+    target, first = TARGET_BATCH[scope]
 
     def corrupted(rows):
         def source(scope):
-            for batch, keys in batches(scope):
-                copy = dataclasses.replace(batch, **{
-                    f.name: getattr(batch, f.name).copy()
-                    for f in dataclasses.fields(batch) if f.name != "n"
-                })
-                for name, value in CORRUPTIONS[case].items():
-                    getattr(copy, name)[rows] = value
-                yield copy, keys
+            for i, (batch, keys) in enumerate(batches(scope)):
+                if i == target:
+                    for name, value in CORRUPTIONS[case].items():
+                        getattr(batch, name)[rows] = value
+                yield batch, keys
         return source
 
     clean = verify(lemma, scope, seed=5)
     assert clean.passed
-    _, keys = next(batches(lemma_lab.parse_scope(scope, seed=5)))
     monkeypatch.setattr(lemma_lab, "_batches", corrupted([17]))
     report = verify(lemma, scope, seed=5)
     assert report.violation_count == 1
-    assert [v[key] for v in report.violations] == [int(keys[17])]
+    assert [v[key] for v in report.violations] == [first + 17]
     monkeypatch.setattr(lemma_lab, "_batches", corrupted(np.arange(2, 32)))
     report = verify(lemma, scope, seed=5)
     assert report.violation_count == 30
-    assert [v[key] for v in report.violations] == keys[2:2 + MAX_STORED_VIOLATIONS].tolist()
+    assert [v[key] for v in report.violations] == [
+        first + r for r in range(2, 2 + MAX_STORED_VIOLATIONS)]
     assert len({v["detail"] for v in report.violations}) == 1
-    assert report.stats.keys() == clean.stats.keys()
+    assert report.scanned == clean.scanned and report.stats.keys() == clean.stats.keys()
     monkeypatch.undo()
-    assert verify(lemma, scope, seed=5).passed  # the cached family is untouched
+    assert verify(lemma, scope, seed=5).passed  # no corrupted batch outlives its verify
 
 
 #: Per K4 claim, a change of one all-distinct record (one with a common

@@ -487,31 +487,8 @@ def test_the_sweep_never_builds_the_circle_table(monkeypatch):
     assert run_normalized_sweep(7, 0, 1 << 16).size == 1 << 16
 
 
-def test_sweep_caches_whole_families_only():
+def test_a_sweep_sub_range_is_a_slice_of_the_whole_family():
     from doublesign import sweep
 
-    whole = sweep.run_normalized_sweep(4)
-    assert sweep._SWEEP_CACHE[4] is whole
-    assert sweep.run_normalized_sweep(4, 0, 64) is whole
-    before = set(sweep._SWEEP_CACHE)
     part = sweep.run_normalized_sweep(5, 16, 80)
-    assert set(sweep._SWEEP_CACHE) == before
-    assert sweep.run_normalized_sweep(5, 16, 80) is not part
     assert (part.spec_mask == sweep.run_normalized_sweep(5).spec_mask[16:80]).all()
-
-
-def test_cached_sweep_record_is_read_only():
-    # every claim over a family shares its cached record, so a write into
-    # it must fail instead of changing later verdicts
-    from dataclasses import fields
-
-    from doublesign import sweep, verify
-
-    whole = sweep.run_normalized_sweep(5)
-    names = [f.name for f in fields(whole)[1:]] + ["edge_mask"]
-    for name in names:
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(whole, name)[0] = 15
-    assert verify("lemma22", "exhaustive_normalized:5").passed
-    part = sweep.run_normalized_sweep(5, 16, 80)  # sub-ranges are the caller's own
-    assert all(getattr(part, name).flags.writeable for name in names)
