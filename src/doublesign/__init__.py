@@ -19,14 +19,11 @@ from .census import (
     find_consecutive_distinct_triple,
     triangle_census,
 )
-from .cycle_space import TriangleBasis, basis, decompose_hamiltonian, is_even_subgraph
 from .graph import (
     Circle,
     Path,
     SignedCompleteGraph,
-    Triangle,
     build,
-    circle_symmetric_difference,
     triangle_sign,
     walk_sign,
 )
@@ -69,9 +66,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "F22", "ELEMENTS", "add", "fourth_element", "pair_sums",
-    "SignedCompleteGraph", "Circle", "Path", "Triangle", "build",
-    "walk_sign", "triangle_sign", "circle_symmetric_difference",
-    "TriangleBasis", "basis", "decompose_hamiltonian", "is_even_subgraph",
+    "SignedCompleteGraph", "Circle", "Path", "build",
+    "walk_sign", "triangle_sign",
     "apply_switching", "normalize_at",
     "TriangleCensus", "triangle_census", "K4Class", "classify_k4",
     "CommonSignTriple", "find_consecutive_distinct_triple",

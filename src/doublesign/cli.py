@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--witness", action="store_true",
                    help="emit one canonical circle per realized label")
     p.add_argument("--bound", type=int, default=oracle.ENUMERATION_BOUND,
-                   help="largest n the enumeration will accept")
+                   help=f"largest n the enumeration will accept (at most {oracle.ENUMERATION_CEILING})")
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("construct", help="build four distinct-label Hamiltonian circles")

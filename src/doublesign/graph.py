@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations, islice
 from operator import index
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .group import ELEMENTS, F22
 
@@ -200,20 +200,6 @@ class Path:
         return f"Path{self.vertices}"
 
 
-class Triangle(NamedTuple):
-    """Three distinct vertices, stored in ascending order."""
-
-    u: int
-    v: int
-    w: int
-
-    @classmethod
-    def of(cls, a: int, b: int, c: int) -> "Triangle":
-        if a == b or a == c or b == c:
-            raise ValueError(f"degenerate triangle ({a}, {b}, {c})")
-        return cls(*sorted((a, b, c)))
-
-
 def walk_sign(g: SignedCompleteGraph, walk: Circle | Path) -> F22:
     """Sum of edge labels along a circle or path.
 
@@ -234,7 +220,7 @@ def walk_sign(g: SignedCompleteGraph, walk: Circle | Path) -> F22:
     return ELEMENTS[acc]
 
 
-def triangle_sign(g: SignedCompleteGraph, t: Triangle | Sequence[int]) -> F22:
+def triangle_sign(g: SignedCompleteGraph, t: Sequence[int]) -> F22:
     """Sum of the three edge labels of a triangle."""
     a, b, c = t
     if a == b or a == c or b == c:
@@ -242,32 +228,3 @@ def triangle_sign(g: SignedCompleteGraph, t: Triangle | Sequence[int]) -> F22:
     g.check_vertices(a, b, c)
     rows = g.rows
     return ELEMENTS[rows[a][b] ^ rows[a][c] ^ rows[b][c]]
-
-
-def circle_symmetric_difference(
-    g: SignedCompleteGraph, h: Circle, t: Triangle | Sequence[int]
-) -> Circle:
-    """Insert the off-circle vertex of triangle ``t`` into circle ``h``.
-
-    ``t`` must consist of two vertices joined by an edge of ``h`` plus one
-    vertex not on ``h``; the result replaces that edge with the two edges
-    through the new vertex.  The label of the result differs from the label
-    of ``h`` by the triangle's label.
-    """
-    on = set(h.vertices)
-    tv = tuple(t)
-    if len(set(tv)) != 3:
-        raise ValueError(f"degenerate triangle {tv}")
-    outside = [v for v in tv if v not in on]
-    if len(outside) != 1:
-        raise ValueError(f"triangle {tv} must have exactly one vertex off the circle")
-    new = outside[0]
-    g.check_vertices(new)
-    i, j = (v for v in tv if v != new)
-    vs = h.vertices
-    k = len(vs)
-    for pos in range(k):
-        a, b = vs[pos], vs[(pos + 1) % k]
-        if {a, b} == {i, j}:
-            return Circle(vs[: pos + 1] + (new,) + vs[pos + 1 :])
-    raise ValueError(f"edge ({i}, {j}) is not on the circle")

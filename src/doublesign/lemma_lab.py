@@ -283,16 +283,20 @@ def _batches(scope: Scope) -> Iterable[tuple[sweep_mod.BatchAnalysis, np.ndarray
         yield batch, keys
 
 
+def _check_random_n(scope: Scope, report: VerificationReport, limit: int) -> None:
+    """Refuse a random scope above ``limit`` before any instance is drawn."""
+    if isinstance(scope, RandomScope) and scope.n > limit:
+        raise ValueError(
+            f"{report.lemma} checks random scopes up to n = {limit}, got n = {scope.n}"
+        )
+
+
 def _sweep_claim(reduce: Callable, detail: str) -> Callable:
     """A verifier running ``reduce(batch) -> (violating rows, stats)`` over
     every batch of a scope, naming each violating row by its key."""
 
     def verifier(scope: Scope, report: VerificationReport) -> None:
-        if isinstance(scope, RandomScope) and scope.n > ENUMERATION_BOUND:
-            raise ValueError(
-                f"{report.lemma} checks random scopes up to n = {ENUMERATION_BOUND}, "
-                f"got n = {scope.n}"
-            )
+        _check_random_n(scope, report, ENUMERATION_BOUND)
         name = "instance" if isinstance(scope, RandomScope) else "index"
         for batch, keys in _batches(scope):
             bad, stats = reduce(batch)
@@ -332,8 +336,14 @@ def _spectrum_bound(covers: Callable, exact: bool) -> Callable:
     return reduce
 
 
+#: Largest n of a ``proposition_norm`` random scope: one instance costs
+#: about n^3 label reads, about 0.7 s at n = 100 on one Xeon core.
+PROPOSITION_NORM_MAX_N = 100
+
+
 def _verify_proposition_norm(scope: Scope, report: VerificationReport) -> None:
     """Normalizing v rewrites each remaining edge to its old triangle label."""
+    _check_random_n(scope, report, PROPOSITION_NORM_MAX_N)
     for key, g in _graph_instances(scope):
         report.scanned += 1
         census_signs = triangle_census(g).signs
@@ -601,9 +611,9 @@ def verify(
 ) -> VerificationReport:
     """Check one claim over one domain and report violations verbatim.
 
-    Random scopes of the sweep-backed claims above the oracle's
-    enumeration bound are refused before any row is drawn.  Random scopes
-    embed their seed in the report, so any violation can be replayed.
+    Random scopes above a claim's size limit are refused before any row
+    is drawn; they embed their seed in the report, so any violation can be
+    replayed.
     """
     if lemma_id not in _REGISTRY:
         raise KeyError(f"unknown claim id {lemma_id!r}")

@@ -7,9 +7,7 @@ from doublesign import (
     F22,
     Path,
     SignedCompleteGraph,
-    Triangle,
     build,
-    circle_symmetric_difference,
     gen_random,
     named_instance,
     triangle_sign,
@@ -101,28 +99,6 @@ def test_path_canonical_under_reversal():
     assert Path((4, 2, 3)).vertices == (3, 2, 4)
 
 
-def test_triangle_of_sorts_and_validates():
-    assert Triangle.of(3, 1, 2) == Triangle(1, 2, 3)
-    with pytest.raises(ValueError):
-        Triangle.of(1, 1, 2)
-
-
-def test_insertion_trivial_case():
-    g = named_instance("identity(4)")
-    out = circle_symmetric_difference(g, Circle((1, 2, 3)), Triangle.of(4, 1, 2))
-    assert out == Circle((1, 4, 2, 3))
-    assert walk_sign(g, out) == F22.E
-
-
-def test_insertion_validates_membership():
-    g = named_instance("identity(5)")
-    h = Circle((1, 2, 3, 4))
-    with pytest.raises(ValueError, match="not on the circle"):
-        circle_symmetric_difference(g, h, Triangle.of(5, 1, 3))
-    with pytest.raises(ValueError, match="off the circle"):
-        circle_symmetric_difference(g, h, Triangle.of(2, 3, 4))
-
-
 @st.composite
 def graph_and_circle(draw):
     n = draw(st.integers(min_value=4, max_value=8))
@@ -150,12 +126,33 @@ def test_insertion_shifts_sign_by_the_triangle(gc, pick):
         return
     h = Circle(vs)
     v = outside[pick % len(outside)]
-    edges = list(h.edges())
-    i, j = edges[pick % len(edges)]
-    t = Triangle.of(v, i, j)
-    out = circle_symmetric_difference(g, h, t)
+    vs = h.vertices
+    k = pick % len(vs)
+    # v replaces the circle edge vs[k]-vs[k+1], the last one closing to vs[0]
+    out = Circle(vs[: k + 1] + (v,) + vs[k + 1 :])
+    t = (v, vs[k], vs[(k + 1) % len(vs)])
     assert len(out) == len(h) + 1
     assert walk_sign(g, out) == walk_sign(g, h) ^ triangle_sign(g, t)
+
+
+def test_decompose_sign_sum_matches_walk_sign_on_seeded_instances():
+    # A Hamiltonian circle is the sum of the n - 2 hub triangles along it:
+    # every chord from the hub lies in exactly two of them.
+    import random
+
+    rng = random.Random(20240810)
+    for trial in range(1000):
+        g = gen_random(7, trial)
+        perm = list(range(2, 8))
+        rng.shuffle(perm)
+        h = Circle((1, *perm))
+        hub = rng.randint(1, 7)
+        k = h.vertices.index(hub)
+        order = h.vertices[k:] + h.vertices[:k]
+        total = F22.E
+        for u, v in zip(order[1:], order[2:]):
+            total ^= triangle_sign(g, (hub, u, v))
+        assert total == walk_sign(g, h)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), min_size=3, max_size=9, unique=True))

@@ -278,6 +278,10 @@ class TestCli:
         )
         assert main(["spectrum", "--random", "12", "--bound", "11"]) == 2
         assert "n=12 exceeds the enumeration bound 11" in capsys.readouterr().err
+        start = time.perf_counter()
+        assert main(["spectrum", "--random", "15", "--bound", "15"]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert "n=15 exceeds the enumeration ceiling 11" in capsys.readouterr().err
 
     def test_construct_refusal_exit_code(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

@@ -218,6 +218,13 @@ def test_random_scopes_above_the_enumeration_bound_are_refused_before_any_row(
             verify(lemma, "random:11:5")
     assert main(["verify", "--lemma", "lemma_b", "--scope", "random:12:50"]) == 2
     assert "lemma_b checks random scopes up to n = 10, got n = 12" in capsys.readouterr().err
+    monkeypatch.setattr(lemma_lab, "gen_random", no_rows)
+    with pytest.raises(ValueError,
+                       match="proposition_norm checks random scopes up to n = 100, got n = 101"):
+        verify("proposition_norm", "random:101:1")
+    assert main(["verify", "--lemma", "proposition_norm", "--scope", "random:2000:1"]) == 2
+    assert "proposition_norm checks random scopes up to n = 100, got n = 2000" in (
+        capsys.readouterr().err)
 
 
 #: Per claim (and case), field values that make an n = 6 batch row break

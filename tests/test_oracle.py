@@ -142,6 +142,12 @@ def test_enumeration_bound_guard():
     with pytest.raises(ValueError, match="enumeration bound"):
         hamiltonian_spectrum(g, bound=5)
     assert hamiltonian_spectrum(g, bound=6).total == 60
+    # no bound lifts n past the ceiling
+    g12 = gen_random(12, 0)
+    with pytest.raises(ValueError, match="n=12 exceeds the enumeration ceiling 11"):
+        hamiltonian_spectrum(g12, bound=12)
+    with pytest.raises(ValueError, match="n=12 exceeds the enumeration ceiling 11"):
+        hamiltonian_paths_spectrum(g12, 1, bound=100)
 
 
 def test_path_multiset_from_start(share_vertex_k4):
@@ -233,6 +239,15 @@ def test_importing_the_package_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
+def test_star_import_resolves_every_public_name():
+    import doublesign
+
+    namespace: dict = {}
+    exec("from doublesign import *", namespace)
+    assert len(set(doublesign.__all__)) == len(doublesign.__all__)
+    assert set(doublesign.__all__) <= namespace.keys()
+
+
 def test_deleting_an_edge_shifts_by_that_edge(share_vertex_k4):
     g = share_vertex_k4
     for circle in (Circle((1, 2, 3, 4)), Circle((1, 2, 4, 3)), Circle((1, 3, 2, 4))):
@@ -265,16 +280,19 @@ def test_spectrum_invariance_under_switching_and_relabeling():
 
 def _scalar_record(g):
     """The batch record's fields for one graph, from the scalar routes."""
-    from doublesign import triangle_census
+    from doublesign import triangle_census, triangle_sign
     from doublesign.census import distinct_sign_edge_structure
-    from doublesign.cycle_space import basis
     from doublesign.io_gen import free_edges
 
     census = triangle_census(g)
     k4_counts = {
         len(set(classify_k4(g, q).triangle_signs)) for q in combinations(g.vertices(), 4)
     }
-    hub_signs = [basis(g, hub).signs for hub in g.vertices()]
+    hub_signs = [
+        [triangle_sign(g, (hub, u, v)) for u, v in combinations(g.vertices(), 2)
+         if hub not in (u, v)]
+        for hub in g.vertices()
+    ]
     first = [hub_signs[0].index(s) if s in hub_signs[0] else 0 for s in ELEMENTS]
     if set(hub_signs[0]) == set(ELEMENTS) and 4 not in k4_counts:  # the edges form a forest
         edges = distinct_sign_edge_structure(g, 1).edges_by_sign
