@@ -10,12 +10,9 @@ underlying structural claims over their full finite domains.
 
 from .census import (
     CommonSignTriple,
-    EdgeStructure,
     K4Class,
-    TheoryViolationError,
     TriangleCensus,
     classify_k4,
-    distinct_sign_edge_structure,
     find_consecutive_distinct_triple,
     triangle_census,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "apply_switching", "normalize_at",
     "TriangleCensus", "triangle_census", "K4Class", "classify_k4",
     "CommonSignTriple", "find_consecutive_distinct_triple",
-    "EdgeStructure", "distinct_sign_edge_structure", "TheoryViolationError",
     "Spectrum", "hamiltonian_spectrum", "hamiltonian_paths_spectrum",
     "PathMultisetReport", "k4_path_report",
     "SpectrumPrediction", "predict_spectrum", "WitnessSet",

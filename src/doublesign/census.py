@@ -5,10 +5,11 @@ triangles of an instance realize (1 to 4).  Diversity drives the
 achievable Hamiltonian spectrum, so this module also classifies K4
 subgraphs (all four triangle labels distinct, or the paired pattern) and
 locates the edge/triangle configurations the constructive machinery
-starts from.  It is the one module that reads triangle and K4 labels off
-a graph, from its row table ``rows`` alone, and scans K4s lazily: the
-solver and the claim checks call these readers instead of scanning
-labels themselves.  :func:`spectrum_mask` states the law that turns
+starts from; how the least edges per label off a hub meet is the
+solver's decision.  It is the one module that reads triangle and K4
+labels off a graph, from its row table ``rows`` alone, and scans K4s
+lazily: the solver and the claim checks call these readers instead of
+scanning labels themselves.  :func:`spectrum_mask` states the law that turns
 triangle labels into allowed circle labels, once, for the solver's
 prediction and the sweep's bound.  Everything here is read-only over
 immutable graphs.
@@ -150,6 +151,10 @@ K4_EDGES = tuple(combinations(range(4), 2))
 #: frames of every pattern share these tuples.
 _ORDERS = tuple(permutations(range(4)))
 
+#: Every per-start path row of a :func:`k4_pattern`, keyed by itself, so
+#: patterns share equal rows: 1,648 rows occur over the 4,096 keys.
+_PATH_ROWS: dict[tuple, tuple] = {}
+
 
 class K4Pattern(NamedTuple):
     """Every read of one K4 label pattern: its triangle labels and every
@@ -244,7 +249,7 @@ def k4_pattern(key: int) -> K4Pattern:
         label = s[a][b] ^ s[b][c] ^ s[c][d]
         if least[a][label] is None:
             least[a][label] = path
-    paths = tuple(map(tuple, least))
+    paths = tuple(_PATH_ROWS.setdefault(row, row) for row in map(tuple, least))
 
     frame = panel = None
     for order in _ORDERS:
@@ -376,34 +381,14 @@ def is_forest(edges: Sequence[tuple[int, int]]) -> bool:
     return True
 
 
-class TheoryViolationError(Exception):
-    """Raised when four distinct-label edges contain a cycle.
-
-    Under the hypotheses this configuration arises from (a normalized hub
-    and no K4 with four distinct triangle labels), the four edges provably
-    form a forest; hitting this error means those hypotheses were violated
-    or a claimed impossibility actually occurred.
-    """
-
-
-@dataclass(frozen=True)
-class EdgeStructure:
-    """Shape of the four distinct-label witness edges off the hub."""
-
-    case: int  # 1 one vertex, 2 star with an attached edge, 3 star and a disjoint edge, 4 paths
-    edges_by_sign: dict[F22, tuple[int, int]]
-
-
-def distinct_sign_edge_structure(g: SignedCompleteGraph, hub: int) -> EdgeStructure:
-    """Pick the least edge per label off the hub, normalized, and classify them.
+def distinct_sign_edges(g: SignedCompleteGraph, hub: int) -> dict[F22, tuple[int, int]]:
+    """The least edge per label off the hub, read with the hub normalized,
+    in label order.
 
     Normalized, edge u-w carries the label of hub triangle hub-u-w, which
     no switching changes, so ``g`` need not be normalized at ``hub``.  All
     four labels must occur off the hub (the chosen edges span hub
-    triangles of distinct labels, so these are basis witnesses).  The
-    four edges are classified by how they meet: all at one vertex, a
-    3-star with the fourth edge attached or disjoint, or a union of
-    disjoint paths.  A cycle among them raises :class:`TheoryViolationError`.
+    triangles of distinct labels, so these are basis witnesses).
     """
     others, tri = _hub_triangles(g, hub)
     chosen: dict[int, tuple[int, int]] = {}
@@ -414,24 +399,4 @@ def distinct_sign_edge_structure(g: SignedCompleteGraph, hub: int) -> EdgeStruct
     if len(chosen) < 4:
         missing = [e for e in ELEMENTS if e not in chosen]
         raise ValueError(f"labels {missing} not realized off the hub")
-
-    edges = sorted(chosen.values())
-    degree: dict[int, int] = {}
-    for u, v in edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-
-    if not is_forest(edges):
-        raise TheoryViolationError(f"distinct-label edges {edges} contain a cycle")
-
-    max_deg = max(degree.values())
-    if max_deg == 4:
-        case = 1
-    elif max_deg == 3:
-        center = next(v for v, d in degree.items() if d == 3)
-        rest = next((u, v) for u, v in edges if center not in (u, v))
-        attached = degree[rest[0]] > 1 or degree[rest[1]] > 1
-        case = 2 if attached else 3
-    else:
-        case = 4
-    return EdgeStructure(case, {F22(s): e for s, e in sorted(chosen.items())})
+    return {F22(s): e for s, e in sorted(chosen.items())}

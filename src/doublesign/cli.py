@@ -126,9 +126,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.random is not None:
         # refuse before generating: the graph alone grows as N^2
-        oracle.check_bound(args.random, args.bound)
+        oracle.check_bound(args.random)
     g = _load_instance(args)
-    spec = oracle.hamiltonian_spectrum(g, witnesses=args.witness, bound=args.bound)
+    spec = oracle.hamiltonian_spectrum(g, witnesses=args.witness)
     payload = {
         "n": g.n,
         "counts": {s.render(): spec.counts[s] for s in ELEMENTS},
@@ -220,8 +220,6 @@ def main(argv: list[str] | None = None) -> int:
     _instance_options(p)
     p.add_argument("--witness", action="store_true",
                    help="emit one canonical circle per realized label")
-    p.add_argument("--bound", type=int, default=oracle.ENUMERATION_BOUND,
-                   help=f"largest n the enumeration will accept (at most {oracle.ENUMERATION_CEILING})")
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("construct", help="build four distinct-label Hamiltonian circles")

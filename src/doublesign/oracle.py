@@ -4,8 +4,8 @@ Everything here enumerates honestly: Hamiltonian circles are generated as
 permutations with the first vertex pinned and reflection removed, paths
 as permutations from a fixed start.  The constructive machinery is never
 consulted, so these results can sit on the other side of every
-cross-check.  Enumeration is guarded by a size bound, which a caller
-may raise up to a fixed ceiling, to keep factorial work from running away.
+cross-check.  Enumeration refuses n above a fixed ceiling, to keep
+factorial work from running away.
 
 :func:`hamiltonian_spectrum` still visits every circle and XORs its own
 n edge labels; only the loop over circles runs in numpy.  The last
@@ -37,12 +37,13 @@ import numpy as np
 from .graph import Circle, SignedCompleteGraph, edge_index
 from .group import ELEMENTS, F22
 
-#: Largest n enumerated by default: (10-1)!/2 = 181,440 circles.
+#: The sweep's bound, which its random claim scopes share: (10-1)!/2 =
+#: 181,440 circles per row.
 ENUMERATION_BOUND = 10
 
-#: Largest n enumerated whatever ``bound`` says.  Each step in n costs about
-#: 11 times more; at n = 11 (one Xeon core) a spectrum takes 0.06 s, the
-#: paths from one start 2.7 s.
+#: Largest n the oracle enumerates.  Each step in n costs about 11 times
+#: more; at n = 11 (one Xeon core) a spectrum takes 0.05 s, the paths
+#: from one start 2.0 s.
 ENUMERATION_CEILING = 11
 
 #: Widest circle suffix enumerated in one numpy pass.  Its tables take
@@ -98,17 +99,10 @@ class Spectrum:
         return sum(self.counts.values())
 
 
-def check_bound(n: int, bound: int) -> None:
-    """Raise ValueError if n is above ``bound`` or :data:`ENUMERATION_CEILING`."""
-    if n > bound:
-        raise ValueError(
-            f"n={n} exceeds the enumeration bound {bound}; raise `bound` explicitly"
-        )
+def check_bound(n: int) -> None:
+    """Raise ValueError if n is above :data:`ENUMERATION_CEILING`."""
     if n > ENUMERATION_CEILING:
-        raise ValueError(
-            f"n={n} exceeds the enumeration ceiling {ENUMERATION_CEILING}, "
-            "which no `bound` raises"
-        )
+        raise ValueError(f"n={n} exceeds the enumeration ceiling {ENUMERATION_CEILING}")
 
 
 @lru_cache(maxsize=None)
@@ -124,12 +118,7 @@ def _suffix_tables(w: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, pairs
 
 
-def hamiltonian_spectrum(
-    g: SignedCompleteGraph,
-    *,
-    bound: int = ENUMERATION_BOUND,
-    witnesses: bool = False,
-) -> Spectrum:
+def hamiltonian_spectrum(g: SignedCompleteGraph, *, witnesses: bool = False) -> Spectrum:
     """Enumerate every Hamiltonian circle and count labels exactly.
 
     Circles are taken in the order of :func:`hamiltonian_circles`.  A tour
@@ -140,13 +129,13 @@ def hamiltonian_spectrum(
     suffix start, the suffix's own edges and the closing edge to vertex 1:
     every circle's label is still the sum of its own n edges.  Tours whose
     second vertex exceeds their last are masked out.  The cap on ``w``
-    keeps the table near 0.6 MB for any n a raised ``bound`` admits.
+    keeps the table near 0.6 MB up to the ceiling n = 11.
 
     ``witnesses`` additionally records the first circle found per label.
     """
     if g.n < 3:
         raise ValueError("need n >= 3 for Hamiltonian circles")
-    check_bound(g.n, bound)
+    check_bound(g.n)
     n = g.n
     rows = g.rows
     w = min(n - 2, _SUFFIX_WIDTH)
@@ -180,12 +169,10 @@ def hamiltonian_spectrum(
     return Spectrum(count_map, witness_map)
 
 
-def hamiltonian_paths_spectrum(
-    g: SignedCompleteGraph, start: int, *, bound: int = ENUMERATION_BOUND
-) -> tuple[F22, ...]:
+def hamiltonian_paths_spectrum(g: SignedCompleteGraph, start: int) -> tuple[F22, ...]:
     """Sorted label multiset of all (n-1)! Hamiltonian paths from ``start``."""
     g.check_vertices(start)
-    check_bound(g.n, bound)
+    check_bound(g.n)
     rows = g.rows
     rest = [v for v in g.vertices() if v != start]
     out = []

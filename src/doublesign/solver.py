@@ -11,8 +11,9 @@ machine:
   normalize the outer vertex, and ladder through vertex-insertion moves
   whose label shifts are forced;
 * diversity 4 without an all-distinct K4 — normalize a hub, pick one
-  edge per label, assemble a path carrying all four labels, and rotate
-  the hub through its edges;
+  edge per label, decide in one pass how the four edges meet, thread
+  them into a path carrying all four labels, and rotate the hub through
+  its edges;
 * diversity 4 with an all-distinct K4 — one of three constructions: a
   K5 necklace around a vertex with four distinct-label paths, a
   two-anchor join when some outside vertex sees the K4 with unequal
@@ -23,9 +24,10 @@ machine:
   every n.
 
 The structures each branch starts from (chained hub triangles, the
-first all-distinct K4) come from :mod:`census`, the one
-module that reads triangle and K4 labels off a graph's row table; a call
-makes one census pass and builds no table of all triangles or K4s.
+least edge per label off a hub, the first all-distinct K4) come from
+:mod:`census`, the one module that reads triangle and K4 labels off a
+graph's row table; a call makes one census pass and builds no table of
+all triangles or K4s.
 Every read of one K4 under one switching (whether its triangle labels
 are all distinct, its common-label triple, the least path per label from
 a start, the lemma_b frame) is a lookup in the one cache
@@ -47,6 +49,7 @@ contradicting a lemma, and raises :class:`CounterexampleCandidateError`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from operator import index
@@ -55,13 +58,12 @@ from typing import Sequence
 from .census import (
     K4_EDGES,
     CommonSignTriple,
-    EdgeStructure,
     K4Pattern,
-    TheoryViolationError,
     TriangleCensus,
-    distinct_sign_edge_structure,
+    distinct_sign_edges,
     find_consecutive_distinct_triple,
     first_all_distinct_k4,
+    is_forest,
     k4_key,
     k4_pattern,
     spectrum_mask,
@@ -304,20 +306,26 @@ def _splice_hub(
     return _witness_set(g, circles, trace)
 
 
-def _assemble_four_sign_path(
-    g: SignedCompleteGraph, hub: int, structure: EdgeStructure
-) -> Path:
-    """Turn the four distinct-label witness edges into one simple path.
+def _four_sign_path(g: SignedCompleteGraph, hub: int) -> tuple[int, tuple[int, ...]]:
+    """The case and the simple path through the least edge per label off
+    the hub (:func:`census.distinct_sign_edges`), read with the hub
+    normalized.
 
-    When three or four of the edges meet at a vertex they cannot all lie
-    on a path, but the absence of any all-distinct K4 forces the edge
-    between two star leaves to repeat one of their star labels, which
-    lets a two-edge detour carry both.  Disjoint pieces just concatenate;
-    connector labels cannot reduce the four distinct labels already
-    present.
+    Without an all-distinct K4 the four edges form a forest (claim
+    ``case_alpha_forest``); a cycle raises ``ValueError``.  The case is 1
+    when all four meet at one vertex, 2 or 3 for a 3-star with the fourth
+    edge attached to a leaf or disjoint, and 4 for disjoint paths.  Edges
+    at a star centre cannot all lie on a path, but the absence of any
+    all-distinct K4 forces the edge between two star leaves to repeat one
+    of their star labels, which lets a two-edge detour carry both.
+    Disjoint pieces just concatenate; connector labels cannot reduce the
+    four distinct labels already present.
     """
-    edges = {s: e for s, e in structure.edges_by_sign.items()}
-    sign_of = {e: s for s, e in edges.items()}
+    by_sign = distinct_sign_edges(g, hub)
+    edges = sorted(by_sign.values())
+    if not is_forest(edges):
+        raise ValueError(f"distinct-label edges {edges} contain a cycle")
+    degree = Counter(v for e in edges for v in e)
     z = g.rows[hub]
 
     def oriented_pair(l1: int, l2: int, s1: F22, s2: F22) -> list[int]:
@@ -330,42 +338,31 @@ def _assemble_four_sign_path(
             f"leaf edge ({l1},{l2}) carries {between}, expected {s1} or {s2}"
         )
 
-    if structure.case == 1:
-        center = set.intersection(*(set(e) for e in edges.values())).pop()
-        (l1, s1), (l2, s2), (l3, s3), (l4, s4) = sorted(
-            ((e[0] if e[1] == center else e[1]), s) for e, s in sign_of.items()
-        )
-        left = oriented_pair(l1, l2, s1, s2)
-        right = list(reversed(oriented_pair(l4, l3, s4, s3)))
-        return Path(left + [center] + right)
-
-    degree: dict[int, int] = {}
-    for e in edges.values():
-        for v in e:
-            degree[v] = degree.get(v, 0) + 1
-
-    if structure.case in (2, 3):
+    center, top = degree.most_common(1)[0]
+    if top >= 3:
+        leaves = {u if v == center else v: s for s, (u, v) in by_sign.items() if center in (u, v)}
+        if top == 4:
+            (l1, s1), (l2, s2), (l3, s3), (l4, s4) = sorted(leaves.items())
+            left = oriented_pair(l1, l2, s1, s2)
+            right = reversed(oriented_pair(l4, l3, s4, s3))
+            return 1, Path(left + [center, *right]).vertices
         # the tail starts at the leaf the fourth edge touches (case 2), or
         # else at the largest leaf, from which the disjoint edge follows
-        center = next(v for v, d in degree.items() if d == 3)
-        leaves = {
-            next(v for v in e if v != center): s for e, s in sign_of.items() if center in e
-        }
-        other = next(e for e in edges.values() if center not in e)
+        other = next(e for e in edges if center not in e)
         attach = next((v for v in other if v in leaves), max(leaves))
         (l1, s1), (l2, s2) = sorted((v, s) for v, s in leaves.items() if v != attach)
-        left = oriented_pair(l1, l2, s1, s2)
-        return Path(left + [center, attach, *sorted(set(other) - {attach})])
+        tail = [center, attach, *sorted(set(other) - {attach})]
+        return 2 if attach in other else 3, Path(oriented_pair(l1, l2, s1, s2) + tail).vertices
 
     # Case 4: maximum degree 2 and acyclic, so components are paths.
     adjacency: dict[int, list[int]] = {}
-    for u, v in edges.values():
+    for u, v in edges:
         adjacency.setdefault(u, []).append(v)
         adjacency.setdefault(v, []).append(u)
     seen: set[int] = set()
     pieces: list[list[int]] = []
     for start in sorted(adjacency):
-        if start in seen or len(adjacency[start]) != 1:
+        if start in seen or degree[start] != 1:
             continue
         walk = [start]
         seen.add(start)
@@ -376,16 +373,15 @@ def _assemble_four_sign_path(
             walk.append(nxt[0])
             seen.add(nxt[0])
         pieces.append(walk)  # in order of first vertex, as starts ascend
-    return Path([v for piece in pieces for v in piece])
+    return 4, Path([v for piece in pieces for v in piece]).vertices
 
 
 def _construct_case_alpha(g: SignedCompleteGraph) -> WitnessSet:
     hub = 1
     try:
-        structure = distinct_sign_edge_structure(g, hub)
-        path = _assemble_four_sign_path(g, hub, structure)
-        return _splice_hub(g, path.vertices, hub, f"lemma_c/case_alpha/case{structure.case}")
-    except (ValueError, TheoryViolationError) as exc:
+        case, path = _four_sign_path(g, hub)
+        return _splice_hub(g, path, hub, f"lemma_c/case_alpha/case{case}")
+    except ValueError as exc:
         raise CounterexampleCandidateError(f"lemma_c/case_alpha: {exc}") from exc
 
 

@@ -5,16 +5,17 @@ import pytest
 
 from conftest import graph_from
 from doublesign import (
+    ELEMENTS,
     F22,
-    TheoryViolationError,
     classify_k4,
-    distinct_sign_edge_structure,
     find_consecutive_distinct_triple,
     gen_random,
     named_instance,
     triangle_census,
     triangle_sign,
 )
+from doublesign import solver
+from doublesign.census import distinct_sign_edges
 from doublesign.lemma_lab import k4_from_index
 
 
@@ -154,48 +155,49 @@ def test_every_three_colouring_of_k5_has_a_rainbow_path():
     assert not rainbow_paths(4, matchings).any()
 
 
-class TestDistinctSignEdgeStructure:
+class TestDistinctSignEdges:
+    # the least edge per label off hub 1, and the case the solver reads off them
     def test_common_vertex_case(self):
         labels = {(1, v): "e" for v in range(2, 7)}
         labels |= {(2, 3): "a", (2, 4): "b", (2, 5): "c", (2, 6): "e", (5, 6): "e"}
         g = graph_from(6, labels, default="a")
-        s = distinct_sign_edge_structure(g, 1)
-        assert s.case == 1
-        assert s.edges_by_sign[F22.E] == (2, 6)
-        assert s.edges_by_sign[F22.A] == (2, 3)
+        edges = distinct_sign_edges(g, 1)
+        assert list(edges) == list(ELEMENTS)
+        assert edges[F22.E] == (2, 6)
+        assert edges[F22.A] == (2, 3)
+        assert solver._four_sign_path(g, 1)[0] == 1
 
     def test_star_plus_attached_case(self):
         labels = {(1, v): "e" for v in range(2, 7)}
         labels |= {(2, 3): "a", (2, 4): "b", (2, 6): "e", (3, 5): "c", (4, 6): "e"}
         g = graph_from(6, labels, default="a")
-        s = distinct_sign_edge_structure(g, 1)
-        assert s.case == 2
+        assert solver._four_sign_path(g, 1)[0] == 2
 
     def test_star_plus_disjoint_case(self):
         labels = {(1, v): "e" for v in range(2, 8)}
         labels |= {(2, 3): "a", (2, 4): "b", (2, 5): "c", (6, 7): "e", (3, 4): "a"}
         g = graph_from(7, labels, default="a")
-        s = distinct_sign_edge_structure(g, 1)
-        assert s.case == 3
+        assert solver._four_sign_path(g, 1)[0] == 3
 
     def test_disjoint_paths_case(self):
         labels = {(1, v): "e" for v in range(2, 10)}
         labels |= {(2, 3): "a", (4, 5): "b", (6, 7): "c", (8, 9): "e"}
         g = graph_from(9, labels, default="a")
-        s = distinct_sign_edge_structure(g, 1)
-        assert s.case == 4
+        assert solver._four_sign_path(g, 1)[0] == 4
 
-    def test_cycle_raises_theory_violation(self):
+    def test_cycle_is_a_value_error(self):
         labels = {(1, v): "e" for v in range(2, 7)}
         labels |= {(2, 3): "a", (3, 4): "b", (4, 5): "c", (2, 5): "e"}
         g = graph_from(6, labels, default="a")
-        with pytest.raises(TheoryViolationError):
-            distinct_sign_edge_structure(g, 1)
+        with pytest.raises(ValueError, match="contain a cycle"):
+            solver._four_sign_path(g, 1)
 
     def test_missing_label_is_an_error(self):
         g = named_instance("identity(6)")
         with pytest.raises(ValueError, match="not realized"):
-            distinct_sign_edge_structure(g, 1)
+            distinct_sign_edges(g, 1)
+        with pytest.raises(ValueError, match="not realized"):
+            solver._four_sign_path(g, 1)
 
 
 def _plain_k4_decisions(key):
@@ -262,6 +264,16 @@ def test_k4_pattern_table_matches_plain_enumeration_on_every_key():
         with pytest.raises(ValueError, match="outside 0..4095"):
             k4_pattern(key)
     assert k4_pattern.cache_info().currsize <= 4096
+
+
+def test_k4_patterns_share_their_path_rows():
+    # 1,648 distinct per-start rows occur over the 4,096 keys; equal rows
+    # are one object, so the full table holds no more than that
+    from doublesign.census import k4_pattern
+
+    k4_pattern.cache_clear()
+    rows = [row for key in range(4096) for row in k4_pattern(key).paths]
+    assert len({id(row) for row in rows}) == len(set(rows)) <= 1648
 
 
 def test_k4_lookups_map_back_through_the_sorted_quad():

@@ -273,15 +273,17 @@ class TestCli:
 
         monkeypatch.setattr("doublesign.io_gen.gen_random", no_graph)
         assert main(["spectrum", "--random", "100000"]) == 2
-        assert capsys.readouterr().err == (
-            "error: n=100000 exceeds the enumeration bound 10; raise `bound` explicitly\n"
-        )
-        assert main(["spectrum", "--random", "12", "--bound", "11"]) == 2
-        assert "n=12 exceeds the enumeration bound 11" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: n=100000 exceeds the enumeration ceiling 11\n"
+        assert main(["spectrum", "--random", "12"]) == 2
+        assert "n=12 exceeds the enumeration ceiling 11" in capsys.readouterr().err
         start = time.perf_counter()
-        assert main(["spectrum", "--random", "15", "--bound", "15"]) == 2
+        assert main(["spectrum", "--random", "15"]) == 2
         assert time.perf_counter() - start < 0.1
         assert "n=15 exceeds the enumeration ceiling 11" in capsys.readouterr().err
+        # the ceiling is the only limit: no option moves it
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--random", "11", "--bound", "11"])
+        assert exc.value.code == 2
 
     def test_construct_refusal_exit_code(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

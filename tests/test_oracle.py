@@ -132,22 +132,17 @@ def test_suffix_tables_stay_under_a_megabyte():
 
 def test_spectrum_above_the_default_bound():
     g = gen_random(11, 4)
-    spec = hamiltonian_spectrum(g, bound=11)
+    spec = hamiltonian_spectrum(g)
     assert spec.total == 1_814_400 == hamiltonian_circle_count(11)
     assert spec.realized == predict_spectrum(g).values
 
 
 def test_enumeration_bound_guard():
-    g = named_instance("identity(6)")
-    with pytest.raises(ValueError, match="enumeration bound"):
-        hamiltonian_spectrum(g, bound=5)
-    assert hamiltonian_spectrum(g, bound=6).total == 60
-    # no bound lifts n past the ceiling
     g12 = gen_random(12, 0)
     with pytest.raises(ValueError, match="n=12 exceeds the enumeration ceiling 11"):
-        hamiltonian_spectrum(g12, bound=12)
+        hamiltonian_spectrum(g12)
     with pytest.raises(ValueError, match="n=12 exceeds the enumeration ceiling 11"):
-        hamiltonian_paths_spectrum(g12, 1, bound=100)
+        hamiltonian_paths_spectrum(g12, 1)
 
 
 def test_path_multiset_from_start(share_vertex_k4):
@@ -281,7 +276,7 @@ def test_spectrum_invariance_under_switching_and_relabeling():
 def _scalar_record(g):
     """The batch record's fields for one graph, from the scalar routes."""
     from doublesign import triangle_census, triangle_sign
-    from doublesign.census import distinct_sign_edge_structure
+    from doublesign.census import distinct_sign_edges
     from doublesign.io_gen import free_edges
 
     census = triangle_census(g)
@@ -295,7 +290,7 @@ def _scalar_record(g):
     ]
     first = [hub_signs[0].index(s) if s in hub_signs[0] else 0 for s in ELEMENTS]
     if set(hub_signs[0]) == set(ELEMENTS) and 4 not in k4_counts:  # the edges form a forest
-        edges = distinct_sign_edge_structure(g, 1).edges_by_sign
+        edges = distinct_sign_edges(g, 1)
         assert [free_edges(g.n).index(edges[s]) for s in ELEMENTS] == first
     return {
         "diversity": census.diversity,

@@ -23,7 +23,6 @@ from doublesign import (
     build_from_four_sign_path,
     classify_k4,
     construct_witnesses,
-    distinct_sign_edge_structure,
     gen_exhaustive_normalized,
     gen_random,
     hamiltonian_spectrum,
@@ -37,7 +36,8 @@ from doublesign import (
     verify_witness_set,
     walk_sign,
 )
-from doublesign.census import k4_key, k4_pattern
+from doublesign import solver
+from doublesign.census import distinct_sign_edges, k4_key, k4_pattern
 from doublesign.graph import edge_index
 from doublesign.sweep import allowed_spectrum_mask
 
@@ -172,7 +172,7 @@ def test_branch_fixtures_build_verified_full_sets(n, index, trace):
 )
 def test_construction_makes_one_triangle_label_pass(g, monkeypatch):
     # one census call, and no table of all triangles or K4s of K_n
-    from doublesign import census, solver
+    from doublesign import census
 
     def unused(n):
         raise AssertionError(f"construction built a table for n={n}")
@@ -476,7 +476,7 @@ def _outcome(f, *args):
 )
 @settings(max_examples=60, deadline=None)
 def test_hub_readers_match_the_normalized_graph(n, seed, rnd):
-    # distinct_sign_edge_structure, build_from_four_sign_path and
+    # distinct_sign_edges, solver._four_sign_path, build_from_four_sign_path and
     # necklace_construct read labels with the hub normalized, so on any
     # graph they agree with the same call on the graph normalized there
     g = gen_random(n, seed)
@@ -487,7 +487,8 @@ def test_hub_readers_match_the_normalized_graph(n, seed, rnd):
         path = Path(others[: rnd.randint(2, n - 1)])
         k5 = (hub, *others[:4])
         for f, args in (
-            (distinct_sign_edge_structure, (hub,)),
+            (distinct_sign_edges, (hub,)),
+            (solver._four_sign_path, (hub,)),
             (build_from_four_sign_path, (path, hub)),
             (necklace_construct, (k5, (others[0], hub))),
         ):
@@ -497,7 +498,6 @@ def test_hub_readers_match_the_normalized_graph(n, seed, rnd):
 def test_a_case_machine_miss_is_loud(monkeypatch, tmp_path, capsys):
     # with the chained-triple finder blinded the case machine has no
     # branch left; the miss must raise, not be rescued by some other search
-    from doublesign import solver
     from doublesign.cli import main
 
     monkeypatch.setattr(solver, "find_consecutive_distinct_triple", lambda *a: None)
@@ -509,6 +509,17 @@ def test_a_case_machine_miss_is_loud(monkeypatch, tmp_path, capsys):
     path.write_text(serialize(g))
     assert main(["construct", "--in", str(path)]) == 1
     assert "counterexample candidate:" in capsys.readouterr().err
+
+
+def test_a_case_alpha_cycle_is_a_counterexample_candidate(monkeypatch):
+    # the case_alpha branch assumes its four distinct-label edges form a
+    # forest (claim case_alpha_forest); a cycle is a miss naming the branch
+    monkeypatch.setattr(solver, "is_forest", lambda edges: False)
+    with pytest.raises(
+        CounterexampleCandidateError,
+        match=r"^lemma_c/case_alpha: distinct-label edges \[.*\] contain a cycle$",
+    ):
+        construct_witnesses(instance_from_index(6, 17947))
 
 
 def test_witness_verification_catches_tampering():
