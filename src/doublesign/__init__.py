@@ -35,13 +35,7 @@ from .io_gen import (
     serialize,
 )
 from .lemma_lab import VerificationReport, describe, lemma_ids, verify
-from .oracle import (
-    PathMultisetReport,
-    Spectrum,
-    hamiltonian_paths_spectrum,
-    hamiltonian_spectrum,
-    k4_path_report,
-)
+from .oracle import Spectrum, hamiltonian_paths_spectrum, hamiltonian_spectrum
 from .solver import (
     CaseNotApplicableError,
     CounterexampleCandidateError,
@@ -69,7 +63,6 @@ __all__ = [
     "TriangleCensus", "triangle_census", "K4Class", "classify_k4",
     "CommonSignTriple", "find_consecutive_distinct_triple",
     "Spectrum", "hamiltonian_spectrum", "hamiltonian_paths_spectrum",
-    "PathMultisetReport", "k4_path_report",
     "SpectrumPrediction", "predict_spectrum", "WitnessSet",
     "construct_witnesses", "build_from_four_sign_path", "necklace_construct",
     "verify_witness_set", "RestrictedSpectrumError", "UnsupportedSizeError",

@@ -12,7 +12,8 @@ that counts the domain and names each violation by its key:
   4,096 K4 labelings or seeded random rows (n <= the oracle's
   enumeration bound), keyed by index or seed;
 * the six K4 claims read one :class:`K4Record` per K4 labeling, its
-  labels from :mod:`census` and its paths from the oracle, keyed by index;
+  labels from :mod:`census` and its path labels from the oracle's
+  per-start multisets, keyed by index;
 * the two group claims read each qualifying quadruple, keyed by tuple.
 
 Exhaustive scopes enumerate their whole domain exactly once; random
@@ -58,7 +59,7 @@ from .census import CommonSignTriple, classify_k4, is_forest, triangle_census
 from .graph import SignedCompleteGraph, triangle_sign
 from .group import ELEMENTS, F22, NONZERO, pair_sums
 from .io_gen import free_edges, gen_random, normalized_domain_size, random_sign_matrix
-from .oracle import ENUMERATION_BOUND, k4_path_report
+from .oracle import ENUMERATION_BOUND, hamiltonian_paths_spectrum
 from .switching import normalize_at
 from . import sweep as sweep_mod
 
@@ -134,13 +135,9 @@ _SCOPE_FORMS = {
 
 def parse_scope(text: str, seed: int = 0) -> Scope:
     """Parse a scope spec: ``exhaustive_k4``, ``exhaustive_group``,
-    ``exhaustive_normalized:N`` (or ``exhaustive_normalized(N)``) or
-    ``random:N:COUNT``.  Any other text, trailing text included, is a
-    ``ValueError``."""
-    spec = text.strip()
-    if spec.endswith(")") and "(" in spec:
-        spec = spec[:-1].replace("(", ":", 1)
-    kind, *args = spec.split(":")
+    ``exhaustive_normalized:N`` or ``random:N:COUNT``.  Any other text,
+    trailing text included, is a ``ValueError``."""
+    kind, *args = text.strip().split(":")
     if kind not in _SCOPE_FORMS:
         raise ValueError(f"unknown scope {text!r}")
     cls, names = _SCOPE_FORMS[kind]
@@ -225,7 +222,9 @@ class K4Record(NamedTuple):
     common-label triple from :func:`census.classify_k4`; for an
     all-distinct K4 the frame ``order`` [v1, v2, v3, v4], in which the
     triangles omitting v1, v4, v3, v2 carry e, a, b, c (else None); and
-    its path labels from :func:`oracle.k4_path_report`."""
+    its path labels: ``per_start[v]`` from
+    :func:`oracle.hamiltonian_paths_spectrum` at v, and ``totals`` per
+    label over all 12 paths, in ``ELEMENTS`` order."""
 
     index: int
     rows: tuple[bytes, ...]
@@ -243,9 +242,12 @@ def _k4_records() -> Iterator[K4Record]:
         k4 = classify_k4(g, (1, 2, 3, 4))
         omitted = dict(zip(k4.triangle_signs, (4, 3, 2, 1)))
         order = [omitted[s] for s in (F22.E, F22.C, F22.B, F22.A)] if len(omitted) == 4 else None
-        paths = k4_path_report(g)
+        per_start = {v: hamiltonian_paths_spectrum(g, v) for v in g.vertices()}
+        # each of the 12 paths has two ends, so it is seen from two starts
+        ends = Counter(s for ms in per_start.values() for s in ms)
+        totals = {s: ends[s] // 2 for s in ELEMENTS}
         yield K4Record(index, g.rows, k4.triangle_signs, k4.common_triple, order,
-                       paths.per_start, paths.totals)
+                       per_start, totals)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ library code reads it, only the benchmark's set-up split
 (``perfbench/run.py``).
 
 :func:`hamiltonian_paths_spectrum` gives the label multiset of the
-Hamiltonian paths from one start, and :func:`k4_path_report` the labels
-of the 12 Hamiltonian paths of a K4, per start and in total.
+Hamiltonian paths from one start; the K4 claims read it at each of the
+four starts of a K4.
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ ENUMERATION_CEILING = 11
 #: Widest circle suffix enumerated in one numpy pass.  Its tables take
 #: 8! * 15 B, about 0.6 MB; uncapped they would take 838 MB at n = 13.
 _SUFFIX_WIDTH = 8
-
-
-def hamiltonian_circle_count(n: int) -> int:
-    """(n-1)!/2 — the number of distinct Hamiltonian circles of K_n."""
-    out = 1
-    for k in range(2, n):
-        out *= k
-    return out // 2
 
 
 def hamiltonian_circles(n: int) -> Iterator[tuple[int, ...]]:
@@ -170,7 +162,8 @@ def hamiltonian_spectrum(g: SignedCompleteGraph, *, witnesses: bool = False) -> 
 
 
 def hamiltonian_paths_spectrum(g: SignedCompleteGraph, start: int) -> tuple[F22, ...]:
-    """Sorted label multiset of all (n-1)! Hamiltonian paths from ``start``."""
+    """Sorted label multiset of all (n-1)! Hamiltonian paths from ``start``
+    (on a K4, the six of its 12 paths with an end at ``start``)."""
     g.check_vertices(start)
     check_bound(g.n)
     rows = g.rows
@@ -185,32 +178,3 @@ def hamiltonian_paths_spectrum(g: SignedCompleteGraph, start: int) -> tuple[F22,
         out.append(ELEMENTS[acc])
     out.sort()
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class PathMultisetReport:
-    """The labels of the 12 Hamiltonian paths of a K4, per start and in total.
-
-    ``per_start[i]`` is the sorted label multiset of the six paths with an
-    endpoint at vertex i; ``totals`` counts all 12 paths by label.
-    """
-
-    per_start: dict[int, tuple[F22, ...]]
-    totals: dict[F22, int]
-
-
-def k4_path_report(g: SignedCompleteGraph) -> PathMultisetReport:
-    """Enumerate the 12 Hamiltonian paths of a K4 and aggregate labels."""
-    if g.n != 4:
-        raise ValueError(f"path report is defined for n=4 only, got n={g.n}")
-    rows = g.rows
-    per_start: dict[int, list[F22]] = {i: [] for i in (1, 2, 3, 4)}
-    totals = {e: 0 for e in ELEMENTS}
-    for a, b, c, d in permutations((1, 2, 3, 4)):
-        if a > d:
-            continue
-        s = ELEMENTS[rows[a][b] ^ rows[b][c] ^ rows[c][d]]
-        per_start[a].append(s)
-        per_start[d].append(s)
-        totals[s] += 1
-    return PathMultisetReport({i: tuple(sorted(v)) for i, v in per_start.items()}, totals)

@@ -17,7 +17,6 @@ import pytest
 import doublesign as ds
 from doublesign import lemma_lab
 from doublesign.io_gen import instance_from_index, normalized_domain_size, random_sign_matrix
-from doublesign.oracle import hamiltonian_circle_count
 from doublesign.sweep import (
     allowed_spectrum_mask,
     analyze_sign_matrix,
@@ -215,8 +214,9 @@ def test_criterion_6_switching_invariance():
 def test_criterion_7_count_fixtures():
     t0 = time.perf_counter()
     k4 = ds.named_instance("identity(4)")
-    assert sum(ds.k4_path_report(k4).totals.values()) == 12
-    assert ds.hamiltonian_spectrum(k4).total == 3 == hamiltonian_circle_count(4)
+    # 12 paths, each seen from both ends
+    assert sum(len(ds.hamiltonian_paths_spectrum(k4, v)) for v in k4.vertices()) == 24
+    assert ds.hamiltonian_spectrum(k4).total == 3
     assert ds.hamiltonian_spectrum(ds.named_instance("identity(6)")).total == 60
     assert ds.hamiltonian_spectrum(ds.named_instance("identity(7)")).total == 360
     elapsed = time.perf_counter() - t0

@@ -34,12 +34,13 @@ def test_parse_scope_forms():
     assert parse_scope("exhaustive_k4") == ExhaustiveK4()
     assert parse_scope("exhaustive_group") == ExhaustiveGroup()
     assert parse_scope("exhaustive_normalized:5") == ExhaustiveNormalized(5)
-    assert parse_scope("exhaustive_normalized(5)") == ExhaustiveNormalized(5)
     assert parse_scope("random:7:100", seed=9) == RandomScope(7, 100, 9)
     for bad in ("everything", "random:7", "exhaustive_k4:5", "exhaustive_group:junk",
                 "random:7:100)", "exhaustive_normalized:5)"):
         with pytest.raises(ValueError):
             parse_scope(bad)
+    with pytest.raises(ValueError, match="unknown scope"):
+        parse_scope("exhaustive_normalized(5)")
 
 
 @pytest.mark.parametrize(
@@ -314,6 +315,19 @@ def test_a_corrupted_k4_record_is_reported_by_its_index(lemma, monkeypatch):
     assert report.violation_count == 1
     assert report.violations[0]["index"] == target
     assert report.scanned == clean.scanned and report.stats == clean.stats
+
+
+def test_a_wrong_path_multiset_is_reported_by_its_index_and_start(monkeypatch):
+    # the K4 claims read the oracle's per-start multisets by this name
+    paths = lemma_lab.hamiltonian_paths_spectrum
+    target = next(r.index for r in lemma_lab._k4_records() if r.order is not None)
+    bad = lemma_lab.k4_from_index(target)
+    monkeypatch.setattr(lemma_lab, "hamiltonian_paths_spectrum",
+                        lambda g, v: (F22.E,) * 6 if (g, v) == (bad, 3) else paths(g, v))
+    report = verify("lemma4", "exhaustive_k4")
+    assert report.violation_count == 1
+    assert report.violations[0]["index"] == target
+    assert report.violations[0]["start"] == 3
 
 
 @pytest.mark.parametrize("lemma,quad", [("lemma11", (F22.A, F22.B, F22.A, F22.C)),

@@ -3,6 +3,7 @@ import importlib
 import inspect
 from collections import Counter
 from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from doublesign import (
     gen_random,
     hamiltonian_paths_spectrum,
     hamiltonian_spectrum,
-    k4_path_report,
     named_instance,
     predict_spectrum,
     walk_sign,
@@ -26,14 +26,12 @@ from doublesign import (
 from doublesign import oracle
 from doublesign.graph import edge_index
 from doublesign.lemma_lab import k4_from_index
-from doublesign.oracle import Spectrum, hamiltonian_circle_count, hamiltonian_circles
+from doublesign.oracle import Spectrum, hamiltonian_circles
 
 
 def test_circle_counts():
-    assert hamiltonian_circle_count(4) == 3
-    assert hamiltonian_circle_count(6) == 60
-    assert hamiltonian_circle_count(7) == 360
-    assert sum(1 for _ in hamiltonian_circles(6)) == 60
+    for n in (4, 6, 7):
+        assert sum(1 for _ in hamiltonian_circles(n)) == factorial(n - 1) // 2
 
 
 def test_identity_k6_spectrum():
@@ -133,7 +131,7 @@ def test_suffix_tables_stay_under_a_megabyte():
 def test_spectrum_above_the_default_bound():
     g = gen_random(11, 4)
     spec = hamiltonian_spectrum(g)
-    assert spec.total == 1_814_400 == hamiltonian_circle_count(11)
+    assert spec.total == 1_814_400 == factorial(10) // 2
     assert spec.realized == predict_spectrum(g).values
 
 
@@ -153,34 +151,27 @@ def test_path_multiset_from_start(share_vertex_k4):
     assert hamiltonian_paths_spectrum(g5, 3) == (F22.E,) * 24
 
 
-def test_k4_path_report(share_vertex_k4):
-    rep = k4_path_report(share_vertex_k4)
-    assert sum(rep.totals.values()) == 12
-    assert rep.totals[F22.A] == 0  # no path carries the triple's label
-    assert all(c % 2 == 0 for c in rep.totals.values())
-    assert rep.per_start[1] == (F22.E, F22.E, F22.B, F22.B, F22.C, F22.C)
-    assert all(len(ms) == 6 for ms in rep.per_start.values())
-
-
-def test_k4_path_report_requires_n4():
-    with pytest.raises(ValueError):
-        k4_path_report(named_instance("identity(5)"))
+def test_k4_path_labels_from_every_start(share_vertex_k4):
+    per_start = {v: hamiltonian_paths_spectrum(share_vertex_k4, v) for v in (1, 2, 3, 4)}
+    assert all(len(ms) == 6 for ms in per_start.values())
+    assert per_start[1] == (F22.E, F22.E, F22.B, F22.B, F22.C, F22.C)
+    # each of the 12 paths is seen from both ends
+    ends = Counter(s for ms in per_start.values() for s in ms)
+    assert F22.A not in ends  # no path carries the triple's label
+    assert all(c % 4 == 0 for c in ends.values())  # per-label totals even
 
 
 def test_path_multiset_shapes_on_all_distinct_k4s():
-    # the two path routes agree on every K4 labeling; on the 1,536
-    # all-distinct ones each start sees 2+2+2 or 3+1+1+1
+    # on the 1,536 all-distinct K4 labelings each start sees 2+2+2 or 3+1+1+1
     seen = 0
     for index in range(4096):
         g = k4_from_index(index)
-        per_start = k4_path_report(g).per_start
-        for v in (1, 2, 3, 4):
-            assert per_start[v] == hamiltonian_paths_spectrum(g, v), (index, v)
         if not classify_k4(g, (1, 2, 3, 4)).is_all_distinct:
             continue
         seen += 1
-        for ms in per_start.values():
-            assert sorted(Counter(ms).values()) in ([2, 2, 2], [1, 1, 1, 3])
+        for v in (1, 2, 3, 4):
+            ms = hamiltonian_paths_spectrum(g, v)
+            assert sorted(Counter(ms).values()) in ([2, 2, 2], [1, 1, 1, 3]), (index, v)
     assert seen == 1536
 
 
