@@ -37,16 +37,13 @@ from .io_gen import (
 from .lemma_lab import VerificationReport, describe, lemma_ids, verify
 from .oracle import Spectrum, hamiltonian_paths_spectrum, hamiltonian_spectrum
 from .solver import (
-    CaseNotApplicableError,
     CounterexampleCandidateError,
     RestrictedSpectrumError,
     SpectrumPrediction,
     UnsupportedSizeError,
     WitnessSet,
     WitnessVerificationError,
-    build_from_four_sign_path,
     construct_witnesses,
-    necklace_construct,
     predict_spectrum,
     verify_witness_set,
 )
@@ -64,10 +61,9 @@ __all__ = [
     "CommonSignTriple", "find_consecutive_distinct_triple",
     "Spectrum", "hamiltonian_spectrum", "hamiltonian_paths_spectrum",
     "SpectrumPrediction", "predict_spectrum", "WitnessSet",
-    "construct_witnesses", "build_from_four_sign_path", "necklace_construct",
-    "verify_witness_set", "RestrictedSpectrumError", "UnsupportedSizeError",
-    "CounterexampleCandidateError", "CaseNotApplicableError",
-    "WitnessVerificationError",
+    "construct_witnesses", "verify_witness_set",
+    "RestrictedSpectrumError", "UnsupportedSizeError",
+    "CounterexampleCandidateError", "WitnessVerificationError",
     "VerificationReport", "verify", "lemma_ids", "describe",
     "serialize", "parse", "ParseError",
     "gen_random", "gen_exhaustive_normalized", "instance_from_index",

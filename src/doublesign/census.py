@@ -266,12 +266,15 @@ def k4_pattern(key: int) -> K4Pattern:
 
 def first_all_distinct_k4(g: SignedCompleteGraph) -> Optional[tuple[int, int, int, int]]:
     """The first K4 in ``combinations(g.vertices(), 4)`` order whose four
-    triangle labels are pairwise distinct, or None."""
+    triangle labels are pairwise distinct, or None.
+
+    Only the C(n-1, 3) K4s through vertex 1 are scanned.  If any K4 is
+    all-distinct, every vertex lies on one (the statement is local to five
+    vertices, so the n = 5 family proves it for every n), and in
+    ``combinations`` order every K4 through vertex 1 comes first."""
     rows = g.rows
-    return next(
-        (q for q in combinations(g.vertices(), 4) if k4_pattern(k4_key(rows, q)).all_distinct),
-        None,
-    )
+    quads = ((1, *t) for t in combinations(range(2, g.n + 1), 3))
+    return next((q for q in quads if k4_pattern(k4_key(rows, q)).all_distinct), None)
 
 
 def classify_k4(g: SignedCompleteGraph, quad: Sequence[int]) -> K4Class:

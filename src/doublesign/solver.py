@@ -32,8 +32,9 @@ Every read of one K4 under one switching (whether its triangle labels
 are all distinct, its common-label triple, the least path per label from
 a start, the lemma_b frame) is a lookup in the one cache
 :func:`census.k4_pattern`, keyed by the K4's 12-bit label pattern and so
-bounded at 4,096 entries.  The K5 necklace and the triple-free
-case_beta branch close those paths through one body, ``_necklace``.
+bounded at 4,096 entries.  The K5 necklace is the triple-free
+case_beta branch: it closes those paths through the normalized vertex
+and then every outside vertex.
 
 No branch builds a normalized graph.  Each reads v's normalization off
 the input as the switching ``z = rows[v]`` (edge u-w:
@@ -52,7 +53,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from operator import index
 from typing import Sequence
 
 from .census import (
@@ -102,10 +102,6 @@ class CounterexampleCandidateError(Exception):
     that failed and the branch or construction step it failed in; it does
     not carry the instance, so a caller keeps the input to replay it.
     """
-
-
-class CaseNotApplicableError(Exception):
-    """A construction's entry conditions do not hold for this input."""
 
 
 class WitnessVerificationError(Exception):
@@ -268,44 +264,6 @@ def _construct_diversity3(g: SignedCompleteGraph) -> WitnessSet:
 # Diversity 4 without an all-distinct K4: four-label path through a hub
 # ---------------------------------------------------------------------------
 
-def build_from_four_sign_path(
-    g: SignedCompleteGraph, p: Path, hub: int
-) -> WitnessSet:
-    """Witnesses from a path off the hub whose edges carry all four
-    labels, read with the hub normalized (``z = rows[hub]``; ``g`` need
-    not be normalized there).
-
-    The path extends to a Hamiltonian path of the graph minus the hub and
-    closes into a circle there.  Splicing the hub into an edge of label s
-    replaces s by two identity labels, so the four splices across one edge
-    per label realize the full label set.
-    """
-    g.check_vertices(hub, *p.vertices)
-    if hub in p.vertices:
-        raise ValueError("path must avoid the hub")
-    return _splice_hub(g, p.vertices, hub, "four_sign_path")
-
-
-def _splice_hub(
-    g: SignedCompleteGraph, path: tuple[int, ...], hub: int, trace: str
-) -> WitnessSet:
-    """:func:`build_from_four_sign_path` on vertices already checked."""
-    r, z = g.rows, g.rows[hub]
-    path_signs = {r[u][v] ^ z[u] ^ z[v] for u, v in zip(path, path[1:])}
-    if len(path_signs) != 4:
-        found = sorted(ELEMENTS[s] for s in path_signs)
-        raise ValueError(f"path edges carry {found}, need all four labels")
-    ring = path + tuple(sorted(set(g.vertices()) - {hub} - set(path)))
-    # per label, the least ring edge and the ring position after it
-    per_sign: dict[int, tuple[tuple[int, int], int]] = {}
-    for pos, (u, v) in enumerate(zip(ring, ring[1:] + ring[:1]), 1):
-        e, s = (min(u, v), max(u, v)), r[u][v] ^ z[u] ^ z[v]
-        if s not in per_sign or e < per_sign[s][0]:
-            per_sign[s] = e, pos
-    circles = [Circle(ring[:pos] + (hub,) + ring[pos:]) for _, pos in map(per_sign.get, ELEMENTS)]
-    return _witness_set(g, circles, trace)
-
-
 def _four_sign_path(g: SignedCompleteGraph, hub: int) -> tuple[int, tuple[int, ...]]:
     """The case and the simple path through the least edge per label off
     the hub (:func:`census.distinct_sign_edges`), read with the hub
@@ -377,64 +335,40 @@ def _four_sign_path(g: SignedCompleteGraph, hub: int) -> tuple[int, tuple[int, .
 
 
 def _construct_case_alpha(g: SignedCompleteGraph) -> WitnessSet:
+    """Witnesses from a path off hub 1 whose edges carry all four labels,
+    read with the hub normalized (``z = rows[hub]``).
+
+    The path extends to a Hamiltonian path of the graph minus the hub and
+    closes into a circle there.  Splicing the hub into an edge of label s
+    replaces s by two identity labels, so the four splices across one edge
+    per label realize the full label set.
+    """
     hub = 1
+    r, z = g.rows, g.rows[hub]
     try:
         case, path = _four_sign_path(g, hub)
-        return _splice_hub(g, path, hub, f"lemma_c/case_alpha/case{case}")
     except ValueError as exc:
         raise CounterexampleCandidateError(f"lemma_c/case_alpha: {exc}") from exc
+    path_signs = {r[u][v] ^ z[u] ^ z[v] for u, v in zip(path, path[1:])}
+    if len(path_signs) != 4:
+        found = sorted(ELEMENTS[s] for s in path_signs)
+        raise CounterexampleCandidateError(
+            f"lemma_c/case_alpha: path edges carry {found}, need all four labels"
+        )
+    ring = path + tuple(sorted(set(g.vertices()) - {hub} - set(path)))
+    # per label, the least ring edge and the ring position after it
+    per_sign: dict[int, tuple[tuple[int, int], int]] = {}
+    for pos, (u, v) in enumerate(zip(ring, ring[1:] + ring[:1]), 1):
+        e, s = (min(u, v), max(u, v)), r[u][v] ^ z[u] ^ z[v]
+        if s not in per_sign or e < per_sign[s][0]:
+            per_sign[s] = e, pos
+    circles = [Circle(ring[:pos] + (hub,) + ring[pos:]) for _, pos in map(per_sign.get, ELEMENTS)]
+    return _witness_set(g, circles, f"lemma_c/case_alpha/case{case}")
 
 
 # ---------------------------------------------------------------------------
 # Diversity 4 with an all-distinct K4
 # ---------------------------------------------------------------------------
-
-def _necklace(g: SignedCompleteGraph, quad: Sequence[int], paths: Sequence[tuple[int, ...]],
-              norm: int, trace: str) -> WitnessSet:
-    """Close the four K4 paths ``paths`` (local indices into the sorted
-    ``quad``), all from one start and with distinct labels when ``norm``
-    is normalized, through ``norm`` and then the outside vertices in
-    order.  Every circle gains the same offset, so its labels stay
-    distinct."""
-    ext = [v for v in g.vertices() if v not in quad and v != norm]
-    circles = [Circle((quad[i], quad[j], quad[k], quad[m], norm, *ext)) for i, j, k, m in paths]
-    return _witness_set(g, circles, trace)
-
-
-def necklace_construct(
-    g: SignedCompleteGraph,
-    k5_vertices: Sequence[int],
-    hub_pair: tuple[int, int],
-) -> WitnessSet:
-    """Join four distinct-label K4 paths to an external ring.
-
-    ``k5_vertices`` induce the block; ``hub_pair = (start, norm)`` names
-    the path start inside the block's K4 and the block vertex to
-    normalize, read as ``z = rows[norm]`` (``g`` need not be normalized
-    there).  After normalization the four distinct-label Hamiltonian
-    paths of the K4 from ``start`` (when they exist) extend through
-    ``norm`` and around the remaining vertices at a constant label
-    offset, so the four circle labels again cover everything.
-    """
-    k5 = tuple(sorted(set(map(index, k5_vertices))))
-    if len(k5) != 5:
-        raise ValueError(f"need five distinct block vertices, got {k5_vertices}")
-    start, norm = hub_pair
-    if norm not in k5 or start not in k5 or start == norm:
-        raise ValueError(f"bad anchor pair {hub_pair} for block {k5}")
-    g.check_vertices(*k5)
-    quad = tuple(v for v in k5 if v != norm)
-    pattern = k4_pattern(k4_key(g.rows, quad, g.rows[norm]))
-    if not pattern.all_distinct:  # no switching changes triangle labels
-        raise CaseNotApplicableError(f"K4 {quad} does not have four distinct triangle labels")
-    paths = pattern.paths[quad.index(start)]
-    if None in paths:
-        realized = [s for s, path in enumerate(paths) if path is not None]
-        raise CaseNotApplicableError(
-            f"paths from {start} realize only {realized} after normalizing {norm}"
-        )
-    return _necklace(g, quad, paths, norm, "necklace")
-
 
 def _case_beta_two_anchor(
     g: SignedCompleteGraph,
@@ -504,9 +438,15 @@ def _construct_case_beta(g: SignedCompleteGraph, quad: tuple[int, ...]) -> Witne
         z = rows[v5]  # normalizes v5: edge u-v reads z[u] ^ rows[u][v] ^ z[v]
         pattern = k4_pattern(k4_key(rows, quad, z))
         if pattern.triple is None:
+            # close the four distinct-label K4 paths from one start
+            # through v5 and then the outside vertices in order: every
+            # circle gains the same offset, so its labels stay distinct
             for paths in pattern.paths:
                 if None not in paths:
-                    return _necklace(g, quad, paths, v5, "lemma_c/case_beta/case1")
+                    ext = [v for v in outside if v != v5]
+                    circles = [Circle((quad[i], quad[j], quad[k], quad[m], v5, *ext))
+                               for i, j, k, m in paths]
+                    return _witness_set(g, circles, "lemma_c/case_beta/case1")
             raise CounterexampleCandidateError("triple-free normalization but no four-label start")
         if kept is None:
             kept = pattern

@@ -1,4 +1,5 @@
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ from conftest import graph_from
 from doublesign import (
     ELEMENTS,
     F22,
+    apply_switching,
     classify_k4,
     find_consecutive_distinct_triple,
     gen_random,
+    instance_from_index,
     named_instance,
     triangle_census,
     triangle_sign,
 )
-from doublesign import solver
-from doublesign.census import distinct_sign_edges
+from doublesign import census, solver
+from doublesign.census import distinct_sign_edges, first_all_distinct_k4
 from doublesign.lemma_lab import k4_from_index
 
 
@@ -153,6 +156,43 @@ def test_every_three_colouring_of_k5_has_a_rainbow_path():
     # K_4 falls short: one colour per perfect matching leaves no rainbow path
     matchings = np.array([[0, 1, 2, 2, 1, 0]])  # edges 01 02 03 12 13 23
     assert not rainbow_paths(4, matchings).any()
+
+
+def test_every_vertex_of_a_k5_with_an_all_distinct_k4_lies_on_one():
+    # The K5 lemma.  It is local to five vertices and switching keeps
+    # triangle labels, so the hub-normalized n = 5 family proves it at
+    # every n; hence first_all_distinct_k4 scans only the K4s through 1.
+    found = 0
+    for index in range(4 ** 6):
+        g = instance_from_index(5, index)
+        quads = [q for q in combinations(range(1, 6), 4) if classify_k4(g, q).is_all_distinct]
+        assert first_all_distinct_k4(g) == (quads[0] if quads else None)
+        if quads:
+            found += 1
+            assert all(any(v in q for q in quads) for v in g.vertices())
+    assert found == 3360
+
+
+def _case_alpha_input(n, rng):
+    # hub 1 normalized; vertices 2..n split into three parts, inside edges
+    # labelled e, a, c by part and cross edges b: diversity 4 without a
+    # rainbow hub triangle, so no all-distinct K4; then a random switching
+    part = {v: int(rng.integers(3)) for v in range(2, n + 1)}
+    g = graph_from(n, {
+        (u, w): "eac"[part[u]] if part[u] == part[w] else "b"
+        for u, w in combinations(range(2, n + 1), 2)
+    })
+    return apply_switching(g, {v: ELEMENTS[int(rng.integers(4))] for v in g.vertices()})
+
+
+def test_first_all_distinct_k4_reads_only_the_k4s_through_vertex_1(monkeypatch):
+    g = _case_alpha_input(30, np.random.default_rng(31))
+    assert triangle_census(g).diversity == 4
+    keyed = []
+    k4_key = census.k4_key
+    monkeypatch.setattr(census, "k4_key", lambda rows, qs: keyed.append(qs) or k4_key(rows, qs))
+    assert first_all_distinct_k4(g) is None
+    assert len(keyed) == comb(29, 3) and all(q[0] == 1 for q in keyed)
 
 
 class TestDistinctSignEdges:

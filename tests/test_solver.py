@@ -14,13 +14,11 @@ from doublesign import (
     Path,
     RestrictedSpectrumError,
     UnsupportedSizeError,
-    CaseNotApplicableError,
     CounterexampleCandidateError,
     SignedCompleteGraph,
     WitnessSet,
     WitnessVerificationError,
     apply_switching,
-    build_from_four_sign_path,
     classify_k4,
     construct_witnesses,
     gen_exhaustive_normalized,
@@ -28,7 +26,6 @@ from doublesign import (
     hamiltonian_spectrum,
     instance_from_index,
     named_instance,
-    necklace_construct,
     normalize_at,
     predict_spectrum,
     serialize,
@@ -204,8 +201,6 @@ def test_common_branches_build_no_switched_graph(monkeypatch):
         for n, index, trace in BRANCH_FIXTURES
     ]
     cases.append((constant_bridge_fixture(7), construct_witnesses, "lemma_c/case_beta/case3a"))
-    cases.append((TestNecklace().k5_fixture("b"),
-                  lambda g: necklace_construct(g, (1, 2, 3, 4, 5), (2, 5)), "necklace"))
     for g, build, trace in cases:
         ws = build(g)
         assert ws.trace == trace
@@ -370,29 +365,6 @@ class TestFourSignPath:
         p = Path((2, 3, 4, 5, 6))
         assert walk_sign(g, Circle((1,) + p.vertices)) == walk_sign(g, p)
 
-    def test_builds_full_witness_set(self):
-        g = self.normalized_fixture()
-        p = Path((3, 4, 2, 5, 6))
-        assert len({g.sign(u, v) for u, v in p.edges()}) == 4
-        ws = build_from_four_sign_path(g, p, 1)
-        verify_witness_set(g, ws)
-        assert ws.signs == frozenset(ELEMENTS)
-
-    def test_rejects_paths_without_four_labels(self):
-        g = self.normalized_fixture()
-        with pytest.raises(ValueError, match="need all four"):
-            build_from_four_sign_path(g, Path((3, 4, 5)), 1)
-        with pytest.raises(ValueError, match="avoid the hub"):
-            build_from_four_sign_path(g, Path((1, 2, 3)), 1)
-
-    @pytest.mark.parametrize("bad", [0, -1, 7])
-    def test_rejects_out_of_range_vertices(self, bad):
-        g = self.normalized_fixture()
-        with pytest.raises(ValueError, match="out of range"):
-            build_from_four_sign_path(g, Path((3, 4, 2, 5, 6)), bad)
-        with pytest.raises(ValueError, match="out of range"):
-            build_from_four_sign_path(g, Path((3, 4, 2, 5, bad)), 1)
-
 
 class TestNecklace:
     def k5_fixture(self, closing: str) -> "object":
@@ -412,18 +384,13 @@ class TestNecklace:
             out.setdefault(walk_sign(g, p), p)
         return out
 
-    def test_identity_ring_preserves_path_labels(self):
-        g = self.k5_fixture("e")
-        ws = necklace_construct(g, (1, 2, 3, 4, 5), (2, 5))
+    def assert_ring_offset(self, g, offset):
+        # the case machine closes the four K4 paths through the ring; each
+        # witness label is its four-vertex K4 arc's label plus the offset
+        ws = construct_witnesses(g)
+        assert ws.trace == "lemma_c/case_beta/case1"
         verify_witness_set(g, ws)
         assert ws.signs == frozenset(ELEMENTS)
-        assert set(self.path_signs_from_2(g)) == frozenset(ELEMENTS)
-
-    def test_ring_label_translates_the_whole_set(self):
-        g = self.k5_fixture("b")
-        ws = necklace_construct(g, (1, 2, 3, 4, 5), (2, 5))
-        verify_witness_set(g, ws)
-        # each witness label is its block path's label shifted by the ring
         quad = {1, 2, 3, 4}
         for circle, sign in ws.witnesses:
             vs = circle.vertices
@@ -435,31 +402,15 @@ class TestNecklace:
             )
             arc = [vs[(start + j) % k] for j in range(4)]
             assert set(arc) == quad
-            assert walk_sign(g, Path(arc)) ^ F22.B == sign
+            assert walk_sign(g, Path(arc)) ^ offset == sign
 
-    def test_precondition_violations_are_reported(self, share_vertex_k4):
-        labels = {(u, v): share_vertex_k4.sign(u, v).render()
-                  for u in range(1, 5) for v in range(u + 1, 5)}
-        labels |= {(u, 5): "e" for u in (1, 2, 3, 4)}
-        g = graph_from(6, labels)
-        for start in (1, 2, 3, 4):
-            with pytest.raises(CaseNotApplicableError):
-                necklace_construct(g, (1, 2, 3, 4, 5), (start, 5))
-        with pytest.raises(CaseNotApplicableError, match="four distinct"):
-            necklace_construct(named_instance("identity(6)"), (1, 2, 3, 4, 5), (1, 5))
-        with pytest.raises(ValueError):
-            necklace_construct(g, (1, 2, 3, 4), (1, 4))
+    def test_identity_ring_preserves_path_labels(self):
+        g = self.k5_fixture("e")
+        self.assert_ring_offset(g, F22.E)
+        assert set(self.path_signs_from_2(g)) == frozenset(ELEMENTS)
 
-    @pytest.mark.parametrize("bad", [0, -1, 8])
-    def test_rejects_out_of_range_vertices(self, bad):
-        g = self.k5_fixture("b")
-        for k5, pair in (
-            ((1, 2, 3, 4, bad), (2, bad)),  # the normalized vertex
-            ((bad, 2, 3, 4, 5), (2, 5)),  # a K4 vertex
-            ((bad, 2, 3, 4, 5), (bad, 5)),  # the path start
-        ):
-            with pytest.raises(ValueError, match="out of range"):
-                necklace_construct(g, k5, pair)
+    def test_ring_label_translates_the_whole_set(self):
+        self.assert_ring_offset(self.k5_fixture("b"), F22.B)
 
 
 def _outcome(f, *args):
@@ -472,27 +423,17 @@ def _outcome(f, *args):
 @given(
     st.integers(min_value=6, max_value=9),
     st.integers(min_value=0, max_value=10_000),
-    st.randoms(use_true_random=False),
 )
 @settings(max_examples=60, deadline=None)
-def test_hub_readers_match_the_normalized_graph(n, seed, rnd):
-    # distinct_sign_edges, solver._four_sign_path, build_from_four_sign_path and
-    # necklace_construct read labels with the hub normalized, so on any
-    # graph they agree with the same call on the graph normalized there
+def test_hub_readers_match_the_normalized_graph(n, seed):
+    # distinct_sign_edges and solver._four_sign_path read labels with the
+    # hub normalized, so on any graph they agree with the same call on the
+    # graph normalized there
     g = gen_random(n, seed)
     for hub in g.vertices():
         gn = normalize_at(g, hub)[0]
-        others = [v for v in g.vertices() if v != hub]
-        rnd.shuffle(others)
-        path = Path(others[: rnd.randint(2, n - 1)])
-        k5 = (hub, *others[:4])
-        for f, args in (
-            (distinct_sign_edges, (hub,)),
-            (solver._four_sign_path, (hub,)),
-            (build_from_four_sign_path, (path, hub)),
-            (necklace_construct, (k5, (others[0], hub))),
-        ):
-            assert _outcome(f, g, *args) == _outcome(f, gn, *args)
+        for f in (distinct_sign_edges, solver._four_sign_path):
+            assert _outcome(f, g, hub) == _outcome(f, gn, hub)
 
 
 def test_a_case_machine_miss_is_loud(monkeypatch, tmp_path, capsys):
@@ -520,6 +461,20 @@ def test_a_case_alpha_cycle_is_a_counterexample_candidate(monkeypatch):
         match=r"^lemma_c/case_alpha: distinct-label edges \[.*\] contain a cycle$",
     ):
         construct_witnesses(instance_from_index(6, 17947))
+
+
+def test_a_case_alpha_path_without_four_labels_is_a_counterexample_candidate(monkeypatch):
+    # the case_alpha splice needs a path carrying all four labels; a path
+    # short of one is a miss naming the branch, not a wrong witness set
+    g = instance_from_index(6, 17947)
+    case, path = solver._four_sign_path(g, 1)
+    assert len(path) == 5  # four edges, one per label: dropping one leaves three
+    monkeypatch.setattr(solver, "_four_sign_path", lambda g, hub: (case, path[:-1]))
+    with pytest.raises(
+        CounterexampleCandidateError,
+        match=r"^lemma_c/case_alpha: path edges carry \[.*\], need all four labels$",
+    ):
+        construct_witnesses(g)
 
 
 def test_witness_verification_catches_tampering():
@@ -577,8 +532,7 @@ def test_sampled_exhaustive_indices_build_through_the_case_machine():
     lambda: Path(("1", 2)),
     lambda: classify_k4(gen_random(6, 1), (1, 2.5, 3, 4)),
     lambda: SignedCompleteGraph.from_signs(3, [1.9, 2.2, 0.5]),
-    lambda: necklace_construct(TestNecklace().k5_fixture("e"), (1, 2, 3, 4, 5.0), (2, 5)),
-], ids=["circle", "path", "classify_k4", "from_signs", "necklace_construct"])
+], ids=["circle", "path", "classify_k4", "from_signs"])
 def test_non_integer_vertices_and_labels_are_refused(call):
     with pytest.raises(TypeError):
         call()
@@ -593,6 +547,3 @@ def test_numpy_integer_vertices_and_labels_are_read_as_ints():
     assert classify_k4(g, v[1:5]) == classify_k4(g, (1, 2, 3, 4))
     labels = np.array([1, 2, 0], dtype=np.uint8)
     assert SignedCompleteGraph.from_signs(3, labels) == SignedCompleteGraph(3, b"\x01\x02\x00")
-    ring = TestNecklace().k5_fixture("e")
-    ws = necklace_construct(ring, v[1:6], (2, 5))
-    assert ws == necklace_construct(ring, (1, 2, 3, 4, 5), (2, 5))
