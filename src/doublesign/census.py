@@ -218,7 +218,7 @@ def k4_pattern(key: int) -> K4Pattern:
       labels x != y and whose four vertex-insertion shifts x + s(v1-v4),
       y + s(v3-v4), y + s(v1-v3), y + s(v1-v2) are distinct; its panel
       is left when three K4 edges carry the label of v1-v4, right when
-      all six do.
+      four do, and None otherwise.
     """
     if not 0 <= key < 4096:  # checked on a miss only, so the cache stays bounded
         raise ValueError(f"K4 pattern key {key} outside 0..4095")

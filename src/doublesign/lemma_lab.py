@@ -1,48 +1,28 @@
 """Machine verification of every structural claim, over finite domains.
 
-Each claim has a stable identifier and a verifier that re-derives it from
-group, graph, census, sweep and oracle primitives — never from the
-constructive solver — so a solver bug cannot vouch for itself.  Three
-claim families are each one check over one domain record, under one loop
-that counts the domain and names each violation by its key:
+Each claim has a stable identifier, a one-line statement (``describe``)
+and findings that re-derive it from group, graph, census, sweep and
+oracle primitives — never from the constructive solver — so a solver bug
+cannot vouch for itself.  Four families, one loop: a family's findings
+read its domain one record at a time and yield the rows scanned, each
+violation's key and detail, and stats; :func:`verify` alone refuses a
+scope, counts the domain, names each violation by its scope's key and
+sums the stats.
 
-* the eight graph claims the vectorized sweep computes (``lemma1``,
-  ``lemma5``, ``case_alpha_forest`` and the five spectrum bounds) reduce
-  :class:`sweep.BatchAnalysis` batches of the hub-normalized family, the
-  4,096 K4 labelings or seeded random rows (n <= the oracle's
-  enumeration bound), keyed by index or seed;
-* the six K4 claims read one :class:`K4Record` per K4 labeling, its
+* The eight sweep claims reduce :class:`sweep.BatchAnalysis` batches of
+  the hub-normalized family, the 4,096 K4 labelings or seeded random
+  rows (n <= the oracle's enumeration bound).
+* The six K4 claims read one :class:`K4Record` per K4 labeling, its
   labels from :mod:`census` and its path labels from the oracle's
-  per-start multisets, keyed by index;
-* the two group claims read each qualifying quadruple, keyed by tuple.
+  per-start multisets.
+* The two group claims read each qualifying quadruple.
+* ``proposition_norm`` normalizes each K4 labeling or seeded random
+  instance at every vertex.
 
-Exhaustive scopes enumerate their whole domain exactly once; random
-scopes draw seeded instances so a failing report can be replayed.
-
-Claim registry (see ``describe`` for one-line statements):
-
-==================  ========================================================
-id                  domain
-==================  ========================================================
-lemma1              graphs: few triangle labels force few per K4
-lemma5              graphs: with 3 labels, every hub basis realizes all 3
-lemma22             graphs: <= 2 labels pin the spectrum to a parity pair
-remark1             graphs: 1 label pins the spectrum to a point
-proposition_norm    graphs: normalization turns edges into old triangle labels
-lemma11             group: one shared summand spreads pair sums over everything
-lemma12             group: matched or complementary summands pair up
-lemma14             K4: short of all-distinct, triangle labels pair up x,x,y,y
-key_lemma           K4: per-label Hamiltonian path counts are even
-table1              K4: the agree / not-agree dichotomy per disjoint edge pair
-lemma4              K4: per-start path multisets are p,p,q,q,s,s or p,q,s,t,t,t
-lemma_same          K4: equal 2-2-2 multisets <=> common-label triple
-                    <=> one label missing from all paths
-thm11               K4: a four-label start vertex exists iff no common triple
-lemma_b             graphs: exactly 3 labels give the full spectrum (n > 5)
-lemma_c             graphs: 4 labels give the full spectrum (n > 5)
-case_alpha_forest   graphs: the four label-witness edges form a forest
-case_beta           graphs: an all-distinct K4 gives the full spectrum (n > 5)
-==================  ========================================================
+Exhaustive scopes enumerate their whole domain exactly once and name a
+violation by its ``index`` (a group quadruple by its ``tuple``); random
+scopes draw seeded instances, named by ``instance`` (the seed), so a
+failing report can be replayed.
 """
 
 from __future__ import annotations
@@ -106,7 +86,7 @@ class ExhaustiveNormalized:
 @dataclass(frozen=True)
 class RandomScope:
     """Seeded instances gen_random(n, seed), ..., gen_random(n, seed+count-1),
-    for n >= 3, count >= 1 and seed >= 0."""
+    for n >= 3, 1 <= count <= ``sweep.MAX_SWEEP_ROWS`` and seed >= 0."""
 
     n: int
     count: int
@@ -116,6 +96,9 @@ class RandomScope:
         _at_least("N", self.n, 3)
         _at_least("COUNT", self.count, 1)
         _at_least("seed", self.seed, 0)
+        if self.count > sweep_mod.MAX_SWEEP_ROWS:
+            raise ValueError(f"COUNT must be at most MAX_SWEEP_ROWS={sweep_mod.MAX_SWEEP_ROWS}, "
+                             f"got {self.count}")
 
     def describe(self) -> str:
         return f"{self.count} seeded random instances at n={self.n} (seed {self.seed})"
@@ -251,17 +234,21 @@ def _k4_records() -> Iterator[K4Record]:
 
 
 # ---------------------------------------------------------------------------
-# Individual verifiers
+# Claims and their findings
 # ---------------------------------------------------------------------------
 
-def _graph_instances(scope: Scope) -> Iterable[tuple[int, SignedCompleteGraph]]:
-    if isinstance(scope, RandomScope):
-        for i in range(scope.count):
-            yield scope.seed + i, gen_random(scope.n, scope.seed + i)
-    elif isinstance(scope, ExhaustiveK4):
-        yield from enumerate(map(k4_from_index, range(K4_DOMAIN_SIZE)))
-    else:
-        raise TypeError(f"not an instance scope: {scope}")
+class _Claim(NamedTuple):
+    """One claim: its one-line statement, the scope kinds it allows, its
+    findings, whether it is a statement about n > 5, and the largest n of
+    its random scopes.  ``findings(scope)`` yields ``(rows scanned,
+    [(key, detail fields), ...], stats)`` per batch, record, quadruple or
+    instance."""
+
+    statement: str
+    scopes: tuple
+    findings: Callable
+    needs_n6: bool = False
+    random_max_n: Optional[int] = None
 
 
 def _batches(scope: Scope) -> Iterable[tuple[sweep_mod.BatchAnalysis, np.ndarray]]:
@@ -285,30 +272,20 @@ def _batches(scope: Scope) -> Iterable[tuple[sweep_mod.BatchAnalysis, np.ndarray
         yield batch, keys
 
 
-def _check_random_n(scope: Scope, report: VerificationReport, limit: int) -> None:
-    """Refuse a random scope above ``limit`` before any instance is drawn."""
-    if isinstance(scope, RandomScope) and scope.n > limit:
-        raise ValueError(
-            f"{report.lemma} checks random scopes up to n = {limit}, got n = {scope.n}"
-        )
+_SWEEP_SCOPES = (ExhaustiveNormalized, RandomScope)
 
 
-def _sweep_claim(reduce: Callable, detail: str) -> Callable:
-    """A verifier running ``reduce(batch) -> (violating rows, stats)`` over
-    every batch of a scope, naming each violating row by its key."""
+def _sweep_claim(statement: str, reduce: Callable, detail: str,
+                 scopes: tuple = _SWEEP_SCOPES, needs_n6: bool = False) -> _Claim:
+    """A claim whose findings run ``reduce(batch) -> (violating rows,
+    stats)`` over every batch of a scope, keying each violating row."""
 
-    def verifier(scope: Scope, report: VerificationReport) -> None:
-        _check_random_n(scope, report, ENUMERATION_BOUND)
-        name = "instance" if isinstance(scope, RandomScope) else "index"
+    def findings(scope: Scope) -> Iterator:
         for batch, keys in _batches(scope):
             bad, stats = reduce(batch)
-            report.scanned += len(keys)
-            for key in keys[bad]:
-                report.add_violation({name: int(key), "detail": detail})
-            for stat, count in stats.items():
-                report.stats[stat] = report.stats.get(stat, 0) + count
+            yield len(keys), [(int(key), {"detail": detail}) for key in keys[bad]], stats
 
-    return verifier
+    return _Claim(statement, scopes, findings, needs_n6, ENUMERATION_BOUND)
 
 
 def _lemma1(b: sweep_mod.BatchAnalysis):
@@ -343,47 +320,47 @@ def _spectrum_bound(covers: Callable, exact: bool) -> Callable:
 PROPOSITION_NORM_MAX_N = 100
 
 
-def _verify_proposition_norm(scope: Scope, report: VerificationReport) -> None:
-    """Normalizing v rewrites each remaining edge to its old triangle label."""
-    _check_random_n(scope, report, PROPOSITION_NORM_MAX_N)
-    for key, g in _graph_instances(scope):
-        report.scanned += 1
-        census_signs = triangle_census(g).signs
-        div = len(census_signs)
-        for v in g.vertices():
-            gn, _ = normalize_at(g, v)
-            for u in g.vertices():
-                if u != v and gn.sign(u, v) != F22.E:
-                    report.add_violation({"instance": key, "detail": f"star at {v} not identity"})
-            for a, b in combinations(g.vertices(), 2):
-                if v in (a, b):
-                    continue
-                expect = triangle_sign(g, (a, b, v))
-                if gn.sign(a, b) != expect:
-                    report.add_violation(
-                        {"instance": key, "detail": f"edge ({a},{b}) wrong after normalizing {v}"}
-                    )
-                elif div == 3 and expect not in census_signs:
-                    report.add_violation(
-                        {"instance": key, "detail": "edge label outside the three"}
-                    )
+def _proposition_norm(scope: Scope) -> Iterator:
+    """Findings of :func:`_normalization_errors` over each K4 labeling or
+    each seeded random instance."""
+    random = isinstance(scope, RandomScope)
+    for key in range(scope.seed, scope.seed + scope.count) if random else range(K4_DOMAIN_SIZE):
+        g = gen_random(scope.n, key) if random else k4_from_index(key)
+        yield 1, [(key, {"detail": d}) for d in _normalization_errors(g)], {}
 
 
-def _group_claim(hypothesis: Callable, check: Callable) -> Callable:
-    """A verifier running ``check(y1, y2, z1, z2)``, which yields violation
-    details, over every pair of distinct nonzero y1, y2 and distinct z1, z2
-    that meets ``hypothesis``, naming each violation by its tuple."""
+def _normalization_errors(g: SignedCompleteGraph) -> Iterator[str]:
+    """Normalizing v rewrites each remaining edge to its old triangle label:
+    one detail per edge of ``g`` that breaks it, at each vertex v."""
+    census_signs = triangle_census(g).signs
+    div = len(census_signs)
+    for v in g.vertices():
+        gn, _ = normalize_at(g, v)
+        for u in g.vertices():
+            if u != v and gn.sign(u, v) != F22.E:
+                yield f"star at {v} not identity"
+        for a, b in combinations(g.vertices(), 2):
+            if v in (a, b):
+                continue
+            expect = triangle_sign(g, (a, b, v))
+            if gn.sign(a, b) != expect:
+                yield f"edge ({a},{b}) wrong after normalizing {v}"
+            elif div == 3 and expect not in census_signs:
+                yield "edge label outside the three"
 
-    def verifier(scope: Scope, report: VerificationReport) -> None:
+
+def _group_claim(statement: str, hypothesis: Callable, check: Callable) -> _Claim:
+    """A claim whose findings run ``check(y1, y2, z1, z2)``, which yields
+    violation details, over every pair of distinct nonzero y1, y2 and
+    distinct z1, z2 that meets ``hypothesis``."""
+
+    def findings(scope: Scope) -> Iterator:
         for quad in product(NONZERO, NONZERO, ELEMENTS, ELEMENTS):
             y1, y2, z1, z2 = quad
-            if y1 == y2 or z1 == z2 or not hypothesis({y1, y2}, {z1, z2}):
-                continue
-            report.scanned += 1
-            for detail in check(*quad):
-                report.add_violation({"tuple": [str(v) for v in quad], **detail})
+            if y1 != y2 and z1 != z2 and hypothesis({y1, y2}, {z1, z2}):
+                yield 1, [([str(v) for v in quad], d) for d in check(*quad)], {}
 
-    return verifier
+    return _Claim(statement, (ExhaustiveGroup,), findings)
 
 
 def _shape(labels: Iterable[F22]) -> list[int]:
@@ -404,24 +381,19 @@ def _lemma12(y1: F22, y2: F22, z1: F22, z2: F22) -> Iterator[dict]:
         yield {"sums": [str(s) for s in sums]}
 
 
-def _k4_claim(check: Callable, all_distinct: bool = True, stat: Optional[str] = None) -> Callable:
-    """A verifier running ``check(record)``, which yields violation details,
-    over every :class:`K4Record` (or the all-distinct ones), naming each
-    violation by its index; ``stat`` counts the all-distinct labelings."""
+def _k4_claim(statement: str, check: Callable, all_distinct: bool = True,
+              stat: Optional[str] = None) -> _Claim:
+    """A claim whose findings run ``check(record)``, which yields violation
+    details, over every :class:`K4Record` (or the all-distinct ones);
+    ``stat`` counts the all-distinct labelings."""
 
-    def verifier(scope: Scope, report: VerificationReport) -> None:
-        star_count = 0
+    def findings(scope: Scope) -> Iterator:
         for r in _k4_records():
-            star_count += r.order is not None
-            if all_distinct and r.order is None:
-                continue
-            report.scanned += 1
-            for detail in check(r):
-                report.add_violation({"index": r.index, **detail})
-        if stat:
-            report.stats[stat] = star_count
+            if not all_distinct or r.order is not None:
+                stats = {stat: int(r.order is not None)} if stat else {}
+                yield 1, [(r.index, d) for d in check(r)], stats
 
-    return verifier
+    return _Claim(statement, (ExhaustiveK4,), findings)
 
 
 def _lemma14(r: K4Record) -> Iterator[dict]:
@@ -536,63 +508,51 @@ def _case_alpha_forest(b: sweep_mod.BatchAnalysis):
 # Registry and entry point
 # ---------------------------------------------------------------------------
 
-_GRAPH_SCOPES = (ExhaustiveK4, ExhaustiveNormalized, RandomScope)
-
-_REGISTRY: dict[str, tuple[Callable, tuple, str]] = {
-    "lemma1": (_sweep_claim(_lemma1, "a K4 with 3 labels, or 4 at diversity <= 3"),
-               _GRAPH_SCOPES,
-               "diversity <= 3 forces every K4 to at most two triangle labels"),
-    "lemma5": (_sweep_claim(_lemma5, "a hub basis misses a label"),
-               (ExhaustiveNormalized, RandomScope),
-               "diversity 3 means every hub basis realizes all three labels"),
-    "lemma22": (_sweep_claim(_spectrum_bound(lambda b: b.diversity <= 2, False),
-                             "parity bound broken"),
-                (ExhaustiveNormalized, RandomScope),
-                "diversity <= 2 bounds the spectrum by the parity pair"),
-    "remark1": (_sweep_claim(_spectrum_bound(lambda b: b.diversity == 1, True),
-                             "forced label broken"),
-                (ExhaustiveNormalized, RandomScope),
-                "diversity 1 pins the spectrum to one forced label"),
-    "proposition_norm": (_verify_proposition_norm, (ExhaustiveK4, RandomScope),
-                         "normalizing rewrites each edge to its old triangle label"),
-    "lemma11": (_group_claim(lambda y, z: len(y & z) == 1, _lemma11), (ExhaustiveGroup,),
-                "one shared value spreads the four pair sums over the group"),
-    "lemma12": (_group_claim(lambda y, z: z == y or z == set(ELEMENTS) - y, _lemma12),
-                (ExhaustiveGroup,),
-                "matched or complementary pairs collapse sums to x,x,y,y"),
-    "lemma14": (_k4_claim(_lemma14, all_distinct=False), (ExhaustiveK4,),
-                "K4 triangle labels sum to identity and pair up off the all-distinct case"),
-    "key_lemma": (_k4_claim(_key_lemma, all_distinct=False, stat="sigma4star_count"),
-                  (ExhaustiveK4,),
-                  "per-label Hamiltonian path counts are even on all-distinct K4s"),
-    "table1": (_k4_claim(_table1), (ExhaustiveK4,),
-               "agree/not-agree dichotomy for each disjoint edge pair"),
-    "lemma4": (_k4_claim(_lemma4), (ExhaustiveK4,),
-               "per-start path multisets are 2+2+2 or 3+1+1+1"),
-    "lemma_same": (_k4_claim(_lemma_same), (ExhaustiveK4,),
-                   "equal 2-2-2 multisets <=> common-label triple <=> missing path label"),
-    "thm11": (_k4_claim(_thm11), (ExhaustiveK4,),
-              "a four-label start exists iff there is no common-label triple"),
-    "lemma_b": (_sweep_claim(_spectrum_bound(lambda b: b.diversity == 3, True),
-                             "spectrum not full"),
-                (ExhaustiveNormalized, RandomScope),
-                "exactly three triangle labels give the full spectrum (n > 5)"),
-    "lemma_c": (_sweep_claim(_spectrum_bound(lambda b: b.diversity == 4, True),
-                             "spectrum not full"),
-                (ExhaustiveNormalized, RandomScope),
-                "four triangle labels give the full spectrum (n > 5)"),
-    "case_alpha_forest": (_sweep_claim(_case_alpha_forest,
-                                       "witness edges missing or containing a cycle"),
-                          (ExhaustiveNormalized, RandomScope),
-                          "the four per-label witness edges form a forest"),
-    "case_beta": (_sweep_claim(_spectrum_bound(lambda b: b.sigma4star, True),
-                               "spectrum not full"),
-                  (ExhaustiveNormalized, RandomScope),
-                  "an all-distinct K4 gives the full spectrum (n > 5)"),
+_REGISTRY: dict[str, _Claim] = {
+    "lemma1": _sweep_claim("diversity <= 3 forces every K4 to at most two triangle labels",
+                           _lemma1, "a K4 with 3 labels, or 4 at diversity <= 3",
+                           scopes=(ExhaustiveK4, *_SWEEP_SCOPES)),
+    "lemma5": _sweep_claim("diversity 3 means every hub basis realizes all three labels",
+                           _lemma5, "a hub basis misses a label"),
+    "lemma22": _sweep_claim("diversity <= 2 bounds the spectrum by the parity pair",
+                            _spectrum_bound(lambda b: b.diversity <= 2, False),
+                            "parity bound broken"),
+    "remark1": _sweep_claim("diversity 1 pins the spectrum to one forced label",
+                            _spectrum_bound(lambda b: b.diversity == 1, True),
+                            "forced label broken"),
+    "proposition_norm": _Claim("normalizing rewrites each edge to its old triangle label",
+                               (ExhaustiveK4, RandomScope), _proposition_norm,
+                               random_max_n=PROPOSITION_NORM_MAX_N),
+    "lemma11": _group_claim("one shared value spreads the four pair sums over the group",
+                            lambda y, z: len(y & z) == 1, _lemma11),
+    "lemma12": _group_claim("matched or complementary pairs collapse sums to x,x,y,y",
+                            lambda y, z: z == y or z == set(ELEMENTS) - y, _lemma12),
+    "lemma14": _k4_claim("K4 triangle labels sum to identity and pair up off the all-distinct case",
+                         _lemma14, all_distinct=False),
+    "key_lemma": _k4_claim("per-label Hamiltonian path counts are even on all-distinct K4s",
+                           _key_lemma, all_distinct=False, stat="sigma4star_count"),
+    "table1": _k4_claim("agree/not-agree dichotomy for each disjoint edge pair", _table1),
+    "lemma4": _k4_claim("per-start path multisets are 2+2+2 or 3+1+1+1", _lemma4),
+    "lemma_same": _k4_claim(
+        "equal 2-2-2 multisets <=> common-label triple <=> missing path label", _lemma_same),
+    "thm11": _k4_claim("a four-label start exists iff there is no common-label triple", _thm11),
+    "lemma_b": _sweep_claim("exactly three triangle labels give the full spectrum (n > 5)",
+                            _spectrum_bound(lambda b: b.diversity == 3, True),
+                            "spectrum not full", needs_n6=True),
+    "lemma_c": _sweep_claim("four triangle labels give the full spectrum (n > 5)",
+                            _spectrum_bound(lambda b: b.diversity == 4, True),
+                            "spectrum not full", needs_n6=True),
+    "case_alpha_forest": _sweep_claim("the four per-label witness edges form a forest",
+                                      _case_alpha_forest,
+                                      "witness edges missing or containing a cycle"),
+    "case_beta": _sweep_claim("an all-distinct K4 gives the full spectrum (n > 5)",
+                              _spectrum_bound(lambda b: b.sigma4star, True),
+                              "spectrum not full", needs_n6=True),
 }
 
-#: Claims whose graph-domain statements require n > 5.
-_NEEDS_N6 = {"lemma_b", "lemma_c", "case_beta"}
+#: The key that names a violation, by scope kind.
+_KEY_NAMES = {ExhaustiveK4: "index", ExhaustiveNormalized: "index",
+              RandomScope: "instance", ExhaustiveGroup: "tuple"}
 
 
 def lemma_ids() -> list[str]:
@@ -602,7 +562,7 @@ def lemma_ids() -> list[str]:
 def describe(lemma_id: str) -> str:
     if lemma_id not in _REGISTRY:
         raise KeyError(f"unknown claim id {lemma_id!r}")
-    return _REGISTRY[lemma_id][2]
+    return _REGISTRY[lemma_id].statement
 
 
 def verify(
@@ -613,26 +573,36 @@ def verify(
 ) -> VerificationReport:
     """Check one claim over one domain and report violations verbatim.
 
-    Random scopes above a claim's size limit are refused before any row
-    is drawn; they embed their seed in the report, so any violation can be
-    replayed.
+    Every refusal comes before any row is drawn: an unknown id, a scope
+    the claim does not allow, n < 6 for a statement about n > 5, and a
+    random scope above the claim's size limit.  Random reports embed
+    their seed, so any violation can be replayed.
     """
     if lemma_id not in _REGISTRY:
         raise KeyError(f"unknown claim id {lemma_id!r}")
     if isinstance(scope, str):
         scope = parse_scope(scope, seed)
-    fn, allowed, _ = _REGISTRY[lemma_id]
-    if not isinstance(scope, allowed):
-        names = ", ".join(a.__name__ for a in allowed)
+    claim = _REGISTRY[lemma_id]
+    if not isinstance(scope, claim.scopes):
+        names = ", ".join(a.__name__ for a in claim.scopes)
         raise ValueError(f"{lemma_id} supports scopes: {names}")
     # every scope these claims allow has an n
-    if lemma_id in _NEEDS_N6 and scope.n < 6:
+    if claim.needs_n6 and scope.n < 6:
         raise ValueError(f"{lemma_id} is a statement about n > 5")
+    if isinstance(scope, RandomScope) and scope.n > claim.random_max_n:
+        raise ValueError(f"{lemma_id} checks random scopes up to n = {claim.random_max_n}, "
+                         f"got n = {scope.n}")
 
     report = VerificationReport(lemma_id, scope.describe(), 0)
     if isinstance(scope, RandomScope):
         report.stats["seed"] = scope.seed
+    key_name = _KEY_NAMES[type(scope)]
     start = time.perf_counter()
-    fn(scope, report)
+    for scanned, found, stats in claim.findings(scope):
+        report.scanned += scanned
+        for key, detail in found:
+            report.add_violation({key_name: key, **detail})
+        for stat, count in stats.items():
+            report.stats[stat] = report.stats.get(stat, 0) + count
     report.elapsed = time.perf_counter() - start
     return report

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from doublesign import F22, io_gen, lemma_lab, lemma_ids, verify
+from doublesign import F22, build, io_gen, lemma_lab, lemma_ids, verify
 from doublesign.cli import main
 from doublesign.lemma_lab import (
     MAX_STORED_VIOLATIONS,
@@ -53,6 +53,7 @@ def test_parse_scope_forms():
         ("lemma1", "exhaustive_normalized:-1", 2),
         ("lemma1", "exhaustive_normalized:2", 2),
         ("lemma1", "random:3:5", 0),  # no K4 at n = 3, so nothing to violate
+        ("lemma_b", "random:6:99999999999999999999", 2),  # COUNT above 4^10 rows
         # the sweep runs in one process, so there is no worker count to pass
         pytest.param("lemma_b", "exhaustive_normalized:6 --jobs 2", 2,
                      id="lemma_b-exhaustive_normalized:6-jobs2-2"),
@@ -228,6 +229,22 @@ def test_random_scopes_above_the_enumeration_bound_are_refused_before_any_row(
         capsys.readouterr().err)
 
 
+def test_a_random_count_above_4_10_rows_is_refused_before_any_row(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("rows generated for a refused scope")
+
+    monkeypatch.setattr(lemma_lab, "random_sign_matrix", no_rows)
+    monkeypatch.setattr(lemma_lab, "gen_random", no_rows)
+    begin = time.perf_counter()
+    for lemma, scope in (("lemma_b", "random:6:99999999999999999999"),
+                         ("proposition_norm", "random:6:1048577")):
+        with pytest.raises(ValueError, match=f"scope '{scope}': COUNT must be at most "
+                                             "MAX_SWEEP_ROWS=1048576"):
+            verify(lemma, scope)
+    assert time.perf_counter() - begin < 0.1
+    assert parse_scope("random:6:1048576") == RandomScope(6, 4 ** 10, 0)
+
+
 #: Per claim (and case), field values that make an n = 6 batch row break
 #: it: an all-distinct K4 at diversity 3, a K4 with three labels, a
 #: diversity-3 row whose last hub sees only two, spectra outside or short
@@ -328,6 +345,27 @@ def test_a_wrong_path_multiset_is_reported_by_its_index_and_start(monkeypatch):
     assert report.violation_count == 1
     assert report.violations[0]["index"] == target
     assert report.violations[0]["start"] == 3
+
+
+@pytest.mark.parametrize("scope,key,target", [("random:6:40", "instance", 17),
+                                              ("exhaustive_k4", "index", 1234)])
+def test_a_wrong_normalization_is_reported_by_its_key(scope, key, target, monkeypatch):
+    # proposition_norm reads each normalized graph through this name
+    normalize = lemma_lab.normalize_at
+    bad = lemma_lab.gen_random(6, target) if key == "instance" else lemma_lab.k4_from_index(target)
+
+    def wrong(g, v):
+        gn, zeta = normalize(g, v)
+        if (g, v) == (bad, 1):
+            gn = build(gn.n, [(a, b, s ^ F22.A if (a, b) == (2, 3) else s)
+                              for a, b, s in gn.edges()])
+        return gn, zeta
+
+    assert verify("proposition_norm", scope, seed=5).passed
+    monkeypatch.setattr(lemma_lab, "normalize_at", wrong)
+    report = verify("proposition_norm", scope, seed=5)
+    assert report.violations == [{key: target, "detail": "edge (2,3) wrong after normalizing 1"}]
+    assert report.violation_count == 1
 
 
 @pytest.mark.parametrize("lemma,quad", [("lemma11", (F22.A, F22.B, F22.A, F22.C)),
