@@ -31,8 +31,6 @@ def _instance_options(p: argparse.ArgumentParser) -> None:
     src.add_argument("--random", type=int, metavar="N",
                      help="a seeded random instance on N vertices")
     p.add_argument("--seed", type=int, default=0, help="seed for --random (default 0)")
-    p.add_argument("--normalize", type=int, metavar="V", default=None,
-                   help="normalize vertex V before any analysis")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -42,14 +40,10 @@ def _load_instance(args: argparse.Namespace) -> SignedCompleteGraph:
         raise SystemExit2("exactly one of --in / --named / --random is required")
     if args.infile is not None:
         text = sys.stdin.read() if args.infile == "-" else Path(args.infile).read_text()
-        g = io_gen.parse(text)
-    elif args.named is not None:
-        g = io_gen.named_instance(args.named)
-    else:
-        g = io_gen.gen_random(args.random, args.seed)
-    if args.normalize is not None:
-        g, _ = normalize_at(g, args.normalize)
-    return g
+        return io_gen.parse(text)
+    if args.named is not None:
+        return io_gen.named_instance(args.named)
+    return io_gen.gen_random(args.random, args.seed)
 
 
 class SystemExit2(Exception):
@@ -87,6 +81,9 @@ MAX_CENSUS_N = 100
 
 def _cmd_census(args: argparse.Namespace) -> int:
     g = _load_instance(args)
+    if args.normalize is not None:
+        # moves only the common-triple counts: triple shapes are read as given
+        g, _ = normalize_at(g, args.normalize)
     if g.n > MAX_CENSUS_N:
         raise SystemExit2(f"census scans n <= MAX_CENSUS_N={MAX_CENSUS_N}, got n={g.n}")
     census = triangle_census(g)
@@ -214,6 +211,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("census", help="triangle census and K4 classification")
     _instance_options(p)
+    p.add_argument("--normalize", type=int, metavar="V", default=None,
+                   help="normalize vertex V before any analysis")
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("spectrum", help="exact Hamiltonian label spectrum")

@@ -152,15 +152,6 @@ class Circle:
         vs = vs[k:] + vs[:k]
         self.vertices = vs if vs[1] < vs[-1] else vs[:1] + vs[:0:-1]
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        vs = self.vertices
-        for i in range(len(vs) - 1):
-            yield vs[i], vs[i + 1]
-        yield vs[-1], vs[0]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Circle) and self.vertices == other.vertices
 
@@ -181,14 +172,6 @@ class Path:
         if len(vs) < 2 or len(set(vs)) != len(vs):
             _refuse(vs, 2, "path")
         self.vertices = min(vs, tuple(reversed(vs)))
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        vs = self.vertices
-        for i in range(len(vs) - 1):
-            yield vs[i], vs[i + 1]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Path) and self.vertices == other.vertices

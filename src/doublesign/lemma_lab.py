@@ -239,16 +239,17 @@ def _k4_records() -> Iterator[K4Record]:
 
 class _Claim(NamedTuple):
     """One claim: its one-line statement, the scope kinds it allows, its
-    findings, whether it is a statement about n > 5, and the largest n of
-    its random scopes.  ``findings(scope)`` yields ``(rows scanned,
-    [(key, detail fields), ...], stats)`` per batch, record, quadruple or
-    instance."""
+    findings, whether it is a statement about n > 5, and the largest n and
+    COUNT * n^3 of its random scopes.  ``findings(scope)`` yields ``(rows
+    scanned, [(key, detail fields), ...], stats)`` per batch, record,
+    quadruple or instance."""
 
     statement: str
     scopes: tuple
     findings: Callable
     needs_n6: bool = False
     random_max_n: Optional[int] = None
+    random_max_work: Optional[int] = None
 
 
 def _batches(scope: Scope) -> Iterable[tuple[sweep_mod.BatchAnalysis, np.ndarray]]:
@@ -318,6 +319,9 @@ def _spectrum_bound(covers: Callable, exact: bool) -> Callable:
 #: Largest n of a ``proposition_norm`` random scope: one instance costs
 #: about n^3 label reads, about 0.7 s at n = 100 on one Xeon core.
 PROPOSITION_NORM_MAX_N = 100
+#: Largest COUNT * n^3 of a ``proposition_norm`` random scope: 4^10 instances
+#: at n = 7, about 5 min on one Xeon core (0.6-1.0 us * n^3 per instance).
+PROPOSITION_NORM_MAX_WORK = 4**10 * 7**3
 
 
 def _proposition_norm(scope: Scope) -> Iterator:
@@ -522,7 +526,8 @@ _REGISTRY: dict[str, _Claim] = {
                             "forced label broken"),
     "proposition_norm": _Claim("normalizing rewrites each edge to its old triangle label",
                                (ExhaustiveK4, RandomScope), _proposition_norm,
-                               random_max_n=PROPOSITION_NORM_MAX_N),
+                               random_max_n=PROPOSITION_NORM_MAX_N,
+                               random_max_work=PROPOSITION_NORM_MAX_WORK),
     "lemma11": _group_claim("one shared value spreads the four pair sums over the group",
                             lambda y, z: len(y & z) == 1, _lemma11),
     "lemma12": _group_claim("matched or complementary pairs collapse sums to x,x,y,y",
@@ -575,8 +580,8 @@ def verify(
 
     Every refusal comes before any row is drawn: an unknown id, a scope
     the claim does not allow, n < 6 for a statement about n > 5, and a
-    random scope above the claim's size limit.  Random reports embed
-    their seed, so any violation can be replayed.
+    random scope above the claim's size or work limit.  Random reports
+    embed their seed, so any violation can be replayed.
     """
     if lemma_id not in _REGISTRY:
         raise KeyError(f"unknown claim id {lemma_id!r}")
@@ -592,6 +597,10 @@ def verify(
     if isinstance(scope, RandomScope) and scope.n > claim.random_max_n:
         raise ValueError(f"{lemma_id} checks random scopes up to n = {claim.random_max_n}, "
                          f"got n = {scope.n}")
+    if (isinstance(scope, RandomScope) and claim.random_max_work is not None
+            and scope.count * scope.n**3 > claim.random_max_work):
+        raise ValueError(f"{lemma_id} checks random scopes up to COUNT * N^3 = "
+                         f"{claim.random_max_work}, got {scope.count * scope.n**3}")
 
     report = VerificationReport(lemma_id, scope.describe(), 0)
     if isinstance(scope, RandomScope):

@@ -131,7 +131,7 @@ def test_insertion_shifts_sign_by_the_triangle(gc, pick):
     # v replaces the circle edge vs[k]-vs[k+1], the last one closing to vs[0]
     out = Circle(vs[: k + 1] + (v,) + vs[k + 1 :])
     t = (v, vs[k], vs[(k + 1) % len(vs)])
-    assert len(out) == len(h) + 1
+    assert len(out.vertices) == len(h.vertices) + 1
     assert walk_sign(g, out) == walk_sign(g, h) ^ triangle_sign(g, t)
 
 

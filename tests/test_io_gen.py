@@ -313,7 +313,30 @@ class TestCli:
         main(["gen", "--named", "share_vertex_k4", "--out", str(path)])
         assert main(["census", "--in", str(path), "--normalize", "4", "--json"]) == 0
         census = json.loads(capsys.readouterr().out)
-        assert census["diversity"] == 4  # switching never changes the census
+        assert census["diversity"] == 4  # switching never changes diversity or triangle counts
+
+    def test_normalize_moves_only_the_common_triple_counts(self, capsys):
+        # triple shapes are read off the labels as given; every other
+        # census figure is a switching invariant
+        assert main(["census", "--random", "7", "--seed", "0", "--json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(["census", "--random", "7", "--seed", "0", "--normalize", "3", "--json"]) == 0
+        switched = json.loads(capsys.readouterr().out)
+        triples = ("common_triple_star", "common_triple_triangle")
+        assert [plain["k4"][k] for k in triples] == [0, 0]
+        assert [switched["k4"][k] for k in triples] == [3, 0]
+        for payload in (plain, switched):
+            for k in triples:
+                del payload["k4"][k]
+        assert switched == plain
+
+    @pytest.mark.parametrize("command", ["spectrum", "construct"])
+    def test_normalize_is_a_census_option_only(self, command, capsys):
+        # spectrum and construct print switching invariants only
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--random", "7", "--normalize", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --normalize 3" in capsys.readouterr().err
 
     def test_verify_pass_and_fail_codes(self, capsys):
         assert main(["verify", "--lemma", "lemma12", "--scope", "exhaustive_group"]) == 0

@@ -245,6 +245,28 @@ def test_a_random_count_above_4_10_rows_is_refused_before_any_row(monkeypatch):
     assert parse_scope("random:6:1048576") == RandomScope(6, 4 ** 10, 0)
 
 
+def test_a_proposition_norm_scope_above_its_work_bound_is_refused_before_any_instance(
+        monkeypatch):
+    # one instance costs about n^3 label reads, so COUNT * N^3 is bounded
+    # by the largest n = 7 scope, 4^10 * 7^3; at n = 8 that is COUNT <= 702,464
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(lemma_lab, "gen_random", drawn)
+    begin = time.perf_counter()
+    for scope in ("random:100:360", "random:8:702465", "random:100:1048576"):
+        with pytest.raises(ValueError, match=r"^proposition_norm checks random scopes up to "
+                                             r"COUNT \* N\^3 = 359661568, got \d+$"):
+            verify("proposition_norm", scope)
+    assert time.perf_counter() - begin < 0.1
+    for scope in ("random:7:1048576", "random:100:359", "random:8:702464"):
+        with pytest.raises(Drawn):
+            verify("proposition_norm", scope)
+
+
 #: Per claim (and case), field values that make an n = 6 batch row break
 #: it: an all-distinct K4 at diversity 3, a K4 with three labels, a
 #: diversity-3 row whose last hub sees only two, spectra outside or short

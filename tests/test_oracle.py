@@ -255,6 +255,10 @@ def test_spectrum_invariance_under_switching_and_relabeling():
         g = gen_random(6, seed)
         zeta = {v: F(rng.randrange(4)) for v in g.vertices()}
         assert hamiltonian_spectrum(apply_switching(g, zeta)).counts == hamiltonian_spectrum(g).counts
+        # each label's witness is its first circle in a fixed order, and
+        # switching keeps every circle's label, so the witnesses stay too
+        assert (hamiltonian_spectrum(apply_switching(g, zeta), witnesses=True).witnesses
+                == hamiltonian_spectrum(g, witnesses=True).witnesses)
         perm = list(range(1, 7))
         rng.shuffle(perm)
         relabeled = build(
